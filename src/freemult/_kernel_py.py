@@ -1,12 +1,8 @@
-"""Pure-Python word kernel: reduction, multiplication, bounded cone search.
+"""Word kernel: reduction, multiplication, substitution, cone classification.
 
 Letters are nonzero signed integers; ``-i`` is the inverse of ``+i``.  A word
-is a tuple of letters with no adjacent cancelling pair.  The compiled twin in
-``_kernel.pyx`` implements exactly the same contract; ``test_kernel_parity``
-keeps the two in lock-step.
+is a tuple of letters with no adjacent cancelling pair.
 """
-
-BACKEND = "python"
 
 INCLUDED = 1
 MIXED = 0
@@ -56,43 +52,40 @@ def apply_morphism(word, images, m):
     return tuple(out)
 
 
-def classify_cone(y, z, images, m, limit, max_step):
+def classify_cone(y, z, images, m, cancel):
     """Position of the image of the source cone at ``y`` relative to the
     target cone at ``z``.
 
-    Walks every reduced source word ``u`` extending ``y`` with ``|u| <=
-    limit``, tracking the reduced form of ``g(u) = z^-1 * image(u)``; ``u``
-    lands in the target cone iff ``g(u)`` is empty or does not start with
-    the inverse of ``z``'s last letter.  A branch whose verdict provably
-    cannot change within the remaining budget is counted once and not
-    expanded: each extension step erodes at most ``max_step`` letters of
-    ``g``, so the first letter survives whenever ``len(g)`` exceeds the
-    total remaining erosion.
+    Walks the reduced source words ``u`` extending ``y``, tracking
+    ``h = image(u)``; ``u`` lands in the target cone iff ``h`` starts with
+    ``z``.  ``cancel`` bounds the letters of ``image(u)`` that any reduced
+    extension ``u w`` cancels (bounded cancellation), so once ``len(h) >=
+    len(z) + cancel`` the first ``len(z)`` letters of ``h`` are fixed on
+    the whole cone at ``u`` and the branch is not expanded.  Every branch
+    stops, because the image length grows at least linearly in ``len(u)``.
 
-    Returns INCLUDED if every visited word is inside, DISJOINT if every
+    Returns INCLUDED if every word of the cone is inside, DISJOINT if every
     one is outside, MIXED otherwise.
     """
     if not z:
         raise ValueError("target cone root must be nontrivial")
-    bad = -z[-1]
-    g0 = multiply(invert(z), apply_morphism(y, images, m))
+    n = len(z)
+    settled = n + cancel
     seen_in = False
     seen_out = False
-    stack = [(g0, y[-1] if y else 0, len(y))]
+    stack = [(apply_morphism(y, images, m), y[-1] if y else 0)]
     while stack:
-        g, last, depth = stack.pop()
-        if not g or g[0] != bad:
+        h, last = stack.pop()
+        if h[:n] == z:
             seen_in = True
         else:
             seen_out = True
         if seen_in and seen_out:
             return MIXED
-        if depth >= limit:
-            continue
-        if len(g) > (limit - depth) * max_step:
+        if len(h) >= settled:
             continue
         for letter in range(-m, m + 1):
             if letter == 0 or letter == -last:
                 continue
-            stack.append((multiply(g, images[letter + m]), letter, depth + 1))
+            stack.append((multiply(h, images[letter + m]), letter))
     return INCLUDED if seen_in else DISJOINT

@@ -6,13 +6,15 @@ group.  The two words of the same group element — one over each alphabet —
 have comparable lengths, with stretch factors given by the longest image
 in each direction.
 
-The cone of a source vertex maps into, out of, or across a target cone;
-the bounded exhaustive search deciding which is the backbone of the
-frontier computation: for a target vertex ``z``, the frontier ``Y(z)`` is
-the antichain of minimal source vertices whose cones embed into the target
-cone at ``z``.  Frontiers index the blocks of the transported system, and
-the transported transfer matrices are propagation products along frontier
-suffixes.
+The cone of a source vertex maps into, out of, or across a target cone.
+Deciding which is the backbone of the frontier computation: for a target
+vertex ``z``, the frontier ``Y(z)`` is the antichain of minimal source
+vertices whose cones embed into the target cone at ``z``.  The decision is
+exact: extending a source word cancels at most ``C = floor(L * L' / 2)``
+letters of its image (Cooper's bounded cancellation), so a source vertex
+whose image has at least ``|z| + C`` letters settles its whole cone.
+Frontiers index the blocks of the transported system, and the transported
+transfer matrices are propagation products along frontier suffixes.
 """
 
 from __future__ import annotations
@@ -31,11 +33,7 @@ from .multfunc import MultiplicativeFunction, evaluate, _check_depth
 from .subgroup import automaton_from_generators
 from .system import MatrixSystem, compatibility_defect
 from .words import Alphabet, FiniteSubtree, Word, drop_last, last_letter, sphere
-
-try:
-    from . import _kernel as _k
-except ImportError:
-    from . import _kernel_py as _k
+from . import _kernel_py as _k
 
 INCLUDED = _k.INCLUDED
 MIXED = _k.MIXED
@@ -50,6 +48,15 @@ class GeneratorMap:
     checks the images generate the whole target group (fold of their rose
     has a single state) and computes the inverse substitution by Nielsen
     reduction; the two routes must agree.
+
+    ``cancellation`` is the bounded-cancellation constant
+    ``C = floor(L * L' / 2)``, with ``L = stretch_to_target`` and
+    ``L' = stretch_to_source``: for a reduced source word ``u w``, at most
+    ``C`` letters of ``expand(u)`` cancel in ``expand(u) * expand(w)``.
+    Proof: the source words of the prefixes of ``expand(u w)`` form a path
+    from the identity to ``u w`` with jumps of at most ``L'``, so one of
+    them lies within ``L' / 2`` of ``u``; its image is a prefix of
+    ``expand(u w)`` within ``L * L' / 2`` of ``expand(u)``.
     """
 
     __slots__ = (
@@ -59,7 +66,9 @@ class GeneratorMap:
         "back_images",
         "stretch_to_target",
         "stretch_to_source",
+        "cancellation",
         "_img_table",
+        "_back_table",
         "_classify_memo",
     )
 
@@ -124,15 +133,10 @@ class GeneratorMap:
 
         self.stretch_to_target = max(len(w) for w in full.values())
         self.stretch_to_source = max(len(w) for w in back.values())
+        self.cancellation = self.stretch_to_target * self.stretch_to_source // 2
 
-        m = source.rank
-        table: list[tuple[int, ...]] = []
-        for i in range(-m, m + 1):
-            if i == 0:
-                table.append(())
-            else:
-                table.append(full[source._from_int[i]].data)
-        self._img_table = tuple(table)
+        self._img_table = _letter_table(source, full)
+        self._back_table = _letter_table(target, back)
         self._classify_memo: dict[tuple, int] = {}
 
         for a in target.letters:
@@ -154,29 +158,27 @@ class GeneratorMap:
         """Source word of a target word (apply the inverse substitution)."""
         if w.alphabet != self.target:
             raise InputError("spell needs a target-alphabet word")
-        out = self.source.identity
-        for a in w.letters():
-            out = out * self.back_images[a]
-        return out
+        return Word(
+            self.source,
+            _k.apply_morphism(w.data, self._back_table, self.target.rank),
+        )
 
     def classify(self, y: Word, z: Word) -> int:
         """INCLUDED, DISJOINT, or MIXED position of the source cone at ``y``
-        relative to the target cone at ``z``, decided exhaustively within
-        the stretch bound."""
+        relative to the target cone at ``z``.
+
+        Exact: the search expands a source vertex only while its image is
+        shorter than ``len(z) + cancellation``; past that the first
+        ``len(z)`` letters of the image are fixed on the vertex's cone.
+        """
         if len(y) == 0 or len(z) == 0:
             raise ValidationError("cones are rooted at nontrivial vertices")
         key = (y.data, z.data)
         cached = self._classify_memo.get(key)
         if cached is not None:
             return cached
-        limit = contract_length_bound(self, z) + 1
         res = _k.classify_cone(
-            y.data,
-            z.data,
-            self._img_table,
-            self.source.rank,
-            max(limit, len(y)),
-            self.stretch_to_target,
+            y.data, z.data, self._img_table, self.source.rank, self.cancellation
         )
         self._classify_memo[key] = res
         return res
@@ -190,6 +192,15 @@ class GeneratorMap:
 
 def _positive_letters(al: Alphabet) -> list[str]:
     return [al._from_int[i] for i in range(1, al.rank + 1)]
+
+
+def _letter_table(al: Alphabet, images: Mapping[str, Word]) -> tuple:
+    """Kernel substitution table: slot ``i + rank`` holds the image data of
+    the letter numbered ``i`` (slot ``rank`` is unused)."""
+    m = al.rank
+    return tuple(
+        images[al._from_int[i]].data if i else () for i in range(-m, m + 1)
+    )
 
 
 def _nielsen_back_images(
@@ -260,11 +271,15 @@ def _nielsen_back_images(
     return seen
 
 
-def contract_length_bound(gm: GeneratorMap, z: Word) -> int:
-    """Source-length bound past which a cone's position relative to the
-    target cone at ``z`` is decided: father-vertices of frontier members
-    never exceed it."""
-    return gm.stretch_to_target * (len(z) + gm.stretch_to_source) + 1
+def source_depth_bound(gm: GeneratorMap, z: Word) -> int:
+    """Longest source vertex a frontier search for ``z`` can reach.
+
+    A cone is MIXED relative to ``z`` only while its root's image is
+    shorter than ``len(z) + cancellation``, and a source word is at most
+    ``stretch_to_source`` times longer than its image, so the children of
+    MIXED vertices are no longer than this.
+    """
+    return gm.stretch_to_source * (len(z) + gm.cancellation)
 
 
 def cone_included(gm: GeneratorMap, y: Word, z: Word) -> bool:
@@ -301,21 +316,22 @@ def compute_Y(gm: GeneratorMap, z: Word) -> YFrontier:
     """Frontier of the target cone at ``z`` in the source tree.
 
     Breadth-first from the root's children: included vertices are members,
-    disjoint ones are dropped, mixed ones are expanded.  The stretch bound
-    caps the search depth; crossing it means the map is inconsistent.
+    disjoint ones are dropped, mixed ones are expanded.  No vertex is
+    longer than ``source_depth_bound``; crossing it means the map is
+    inconsistent.
     """
     if z.alphabet != gm.target:
         raise InputError("frontier needs a target-alphabet vertex")
     if len(z) == 0:
         raise ValidationError("frontiers are rooted at nontrivial vertices")
-    bound = contract_length_bound(gm, z)
+    bound = source_depth_bound(gm, z)
     members: list[Word] = []
     queue: list[Word] = list(_source_children(gm.source, gm.source.identity))
     while queue:
         y = queue.pop(0)
-        if len(y) > bound + 1:
+        if len(y) > bound:
             raise InternalCheckError(
-                f"frontier search for {z} passed the stretch bound {bound}"
+                f"frontier search for {z} passed the depth bound {bound}"
             )
         res = gm.classify(y, z)
         if res == INCLUDED:
@@ -361,14 +377,14 @@ def pruned_subtree(gm: GeneratorMap, w: Word, a: str) -> FiniteSubtree:
         for b in gm.target.letters
         if b != gm.target.inverse(a)
     ]
-    bound = max(contract_length_bound(gm, zb) for zb in deeper)
+    bound = max(source_depth_bound(gm, zb) for zb in deeper)
     verts = [drop_last(w)]
     queue = [w]
     while queue:
         y = queue.pop(0)
-        if len(y) > bound + 1:
+        if len(y) > bound:
             raise InternalCheckError(
-                f"pruned subtree at {w} passed the stretch bound {bound}"
+                f"pruned subtree at {w} passed the depth bound {bound}"
             )
         verts.append(y)
         if any(gm.classify(y, zb) == INCLUDED for zb in deeper):
@@ -511,18 +527,22 @@ def intertwine_changegen(
     al = gm.target
     n_out = depth if depth is not None else max(2, f.depth * gm.stretch_to_target)
     _check_depth(n_out, depth_cap)
-    fronts = {a: compute_Y(gm, al.word([a])) for a in al.letters}
+    blocks = {
+        a: [
+            (sys.dims[last_letter(y)], gm.expand(y))
+            for y in compute_Y(gm, al.word([a])).members
+        ]
+        for a in al.letters
+    }
 
     values: dict[Word, np.ndarray] = {}
     for xa in sphere(al, n_out):
         a = last_letter(xa)
         x = drop_last(xa)
-        front = fronts[a]
         vec = np.zeros(transported.dims[a], dtype=complex)
         pos = 0
-        for y in front.members:
-            d = sys.dims[last_letter(y)]
-            s = gm.spell(x * gm.expand(y))
+        for d, image in blocks[a]:
+            s = gm.spell(x * image)
             if len(s) < f.depth:
                 raise ValidationError(
                     f"output depth {n_out} is too small for input depth {f.depth}"

@@ -6,28 +6,21 @@ a regular tree rooted at the identity; the cone at a nontrivial vertex
 consists of all words having it as a prefix.
 
 Internally a word is a tuple of nonzero signed integers, ``-i`` inverse to
-``+i``.  Hot paths (reduction, multiplication, the bounded cone search used
-by generator changes) live in a compiled kernel with a pure-Python fallback
-selected at import time.
+``+i``.  Hot paths (reduction, multiplication, the cone classification used
+by generator changes) live in the word kernel ``_kernel_py``.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import _kernel_py as _k
 from .errors import InputError, InternalCheckError, ValidationError
-
-try:
-    from . import _kernel as _k
-except ImportError:  # compiled kernel not built
-    from . import _kernel_py as _k
-
-_kernel = _k
 
 
 def kernel_backend() -> str:
-    """Name of the active word kernel, ``"cython"`` or ``"python"``."""
-    return _k.BACKEND
+    """Name of the word kernel; the pure-Python one is the only one."""
+    return "python"
 
 
 class Alphabet:
