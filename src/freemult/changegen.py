@@ -29,10 +29,15 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .multfunc import MultiplicativeFunction, evaluate, _check_depth
+from .multfunc import (
+    MultiplicativeFunction,
+    _check_depth,
+    evaluate,
+    sample_then_refine,
+)
 from .subgroup import automaton_from_generators
 from .system import MatrixSystem, compatibility_defect
-from .words import Alphabet, FiniteSubtree, Word, drop_last, last_letter, sphere
+from .words import Alphabet, FiniteSubtree, Word, drop_last, last_letter
 from . import _kernel_py as _k
 
 INCLUDED = _k.INCLUDED
@@ -518,7 +523,9 @@ def intertwine_changegen(
 
     The value of the output at a target word ``x a``, in the block of a
     frontier member ``y`` of ``a``, is the input evaluated at the source
-    word of ``x * expand(y)``.
+    word of ``x * expand(y)``.  The output is multiplicative over the
+    transported system, so it is sampled on the smallest sphere the input
+    determines and refined.
     """
     if f.system is not sys and not f.system.close_to(sys):
         raise InputError("function does not live over the given system")
@@ -535,8 +542,7 @@ def intertwine_changegen(
         for a in al.letters
     }
 
-    values: dict[Word, np.ndarray] = {}
-    for xa in sphere(al, n_out):
+    def sample(xa: Word) -> np.ndarray | None:
         a = last_letter(xa)
         x = drop_last(xa)
         vec = np.zeros(transported.dims[a], dtype=complex)
@@ -544,11 +550,9 @@ def intertwine_changegen(
         for d, image in blocks[a]:
             s = gm.spell(x * image)
             if len(s) < f.depth:
-                raise ValidationError(
-                    f"output depth {n_out} is too small for input depth {f.depth}"
-                )
+                return None
             vec[pos : pos + d] = evaluate(f, s)
             pos += d
-        if np.any(vec):
-            values[xa] = vec
-    return MultiplicativeFunction(transported, n_out, values)
+        return vec
+
+    return sample_then_refine(transported, n_out, sample, f.depth, depth_cap)

@@ -11,6 +11,13 @@ f(x^-1 z)`` represented at depth ``N + |x|``.  The inner product of two
 functions at common depth ``D`` is ``sum_{|w| = D} f(w)* B_(last letter)
 g(w)``, conjugate-linear in the first argument; compatibility of the
 system makes it independent of the choice of ``D``.
+
+Propagation is batched: the words of one depth are grouped by their last
+letter with their values stacked as rows, so one depth step costs one
+matrix product per admissible letter pair.  A function carried to another
+system (by a change of generators, a restriction or an induction) is
+multiplicative over that system, so ``sample_then_refine`` samples it on
+the smallest sphere the input determines and propagates from there.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, ResourceLimitError, ValidationError
 from .system import MatrixSystem
-from .words import FiniteSubtree, Word, last_letter
+from .words import FiniteSubtree, Word, last_letter, sphere
 
 # Refinement depths beyond this fail fast; spheres grow geometrically.
 DEPTH_CAP = 12
@@ -51,21 +58,24 @@ class MultiplicativeFunction:
             raise InputError("depth must be at least one")
         self.system = system
         self.depth = depth
+        al, dims = system.alphabet, system.dims
         vals: dict[Word, np.ndarray] = {}
+        # Checks run once per value, so each takes its cheapest exact form:
+        # count_nonzero costs a quarter of ndarray.any on a short vector.
         for x, v in values.items():
-            if x.alphabet != system.alphabet:
+            if x.alphabet is not al and x.alphabet != al:
                 raise InputError("support word over a different alphabet")
-            if len(x) != depth:
+            if len(x.data) != depth:
                 raise InputError(
                     f"support word {x} has length {len(x)}, expected {depth}"
                 )
             vec = np.asarray(v, dtype=complex).reshape(-1)
-            d = system.dims[last_letter(x)]
+            d = dims[last_letter(x)]
             if vec.shape != (d,):
                 raise InputError(
                     f"value at {x} has shape {vec.shape}, expected ({d},)"
                 )
-            if np.any(vec):
+            if np.count_nonzero(vec):
                 vals[x] = vec
         self.values = vals
 
@@ -90,6 +100,46 @@ def shadow(system: MatrixSystem, x: Word, v: np.ndarray) -> MultiplicativeFuncti
     return MultiplicativeFunction(system, len(x), {x: v})
 
 
+def _layer(values: Mapping[Word, np.ndarray]) -> dict:
+    """Group the words of one depth by last letter (as an integer) into
+    ``(word data tuples, values stacked as rows)``."""
+    groups: dict[int, tuple[list, list]] = {}
+    for x, v in values.items():
+        keys, rows = groups.setdefault(x.data[-1], ([], []))
+        keys.append(x.data)
+        rows.append(v)
+    return {t: (keys, np.stack(rows)) for t, (keys, rows) in groups.items()}
+
+
+def _step(sysm: MatrixSystem, layer: dict, allowed=None) -> dict:
+    """Push a layer one letter outward: each word gains every admissible
+    next letter (only those in ``allowed`` when given), its rows times
+    ``H(c, t).T``.  Rows that come out zero are dropped."""
+    al = sysm.alphabet
+    fi = al._from_int
+    letters = al._file_ints if allowed is None else allowed
+    grown: dict[int, tuple[list, list]] = {}
+    for t, (keys, V) in layer.items():
+        for c in letters:
+            if c == -t:
+                continue
+            m = sysm._H.get((fi[c], fi[t]))
+            if m is None:
+                continue
+            W = V @ m.T
+            keep = W.any(axis=1)
+            if not keep.all():
+                W = W[keep]
+                kept = [k for k, ok in zip(keys, keep) if ok]
+            else:
+                kept = keys
+            if kept:
+                ks, ws = grown.setdefault(c, ([], []))
+                ks.extend(k + (c,) for k in kept)
+                ws.append(W)
+    return {c: (ks, np.concatenate(ws)) for c, (ks, ws) in grown.items()}
+
+
 def refine(
     f: MultiplicativeFunction, depth: int, depth_cap: int | None = None
 ) -> MultiplicativeFunction:
@@ -99,25 +149,47 @@ def refine(
     if depth == f.depth:
         return f
     _check_depth(depth, depth_cap)
-    sysm = f.system
-    al = sysm.alphabet
-    values = f.values
+    layer = _layer(f.values)
     for _ in range(depth - f.depth):
-        nxt: dict[Word, np.ndarray] = {}
-        for x, v in values.items():
-            t = last_letter(x)
-            banned = al.inverse(t)
-            for c in al.letters:
-                if c == banned:
-                    continue
-                m = sysm._H.get((c, t))
-                if m is None:
-                    continue
-                w = m @ v
-                if np.any(w):
-                    nxt[Word(al, x.data + (al._to_int[c],))] = w
-        values = nxt
-    return MultiplicativeFunction(sysm, depth, values)
+        layer = _step(f.system, layer)
+    al = f.alphabet
+    values = {
+        Word(al, k): row for keys, V in layer.values() for k, row in zip(keys, V)
+    }
+    return MultiplicativeFunction(f.system, depth, values)
+
+
+def sample_then_refine(
+    system: MatrixSystem,
+    depth: int,
+    sample,
+    input_depth: int,
+    depth_cap: int | None = None,
+) -> MultiplicativeFunction:
+    """The depth-``depth`` function over ``system`` with value
+    ``sample(w)`` at each word ``w``, for a ``sample`` that is
+    multiplicative over ``system``.
+
+    ``sample`` returns ``None`` at a word whose value its input (of depth
+    ``input_depth``) does not determine yet.  The sphere is sampled at the
+    smallest depth where every value is determined, and that function is
+    refined over ``system``, which reproduces the samples at every deeper
+    word.  Raises ``ValidationError`` when no depth up to ``depth`` is
+    determined.
+    """
+    _check_depth(depth, depth_cap)
+    for n in range(1, depth + 1):
+        values: dict[Word, np.ndarray] = {}
+        for w in sphere(system.alphabet, n):
+            v = sample(w)
+            if v is None:
+                break
+            values[w] = v
+        else:
+            return refine(MultiplicativeFunction(system, n, values), depth, depth_cap)
+    raise ValidationError(
+        f"output depth {depth} is too small for input depth {input_depth}"
+    )
 
 
 def evaluate(f: MultiplicativeFunction, y: Word) -> np.ndarray:
@@ -141,18 +213,29 @@ def evaluate(f: MultiplicativeFunction, y: Word) -> np.ndarray:
     return v
 
 
+def _same_system(f: MultiplicativeFunction, g: MultiplicativeFunction) -> bool:
+    return f.system is g.system or f.system.close_to(g.system)
+
+
 def inner_product(f: MultiplicativeFunction, g: MultiplicativeFunction) -> complex:
-    """Inner product at common depth, conjugate-linear in ``f``."""
-    if not f.system.close_to(g.system):
+    """Inner product at common depth, conjugate-linear in ``f``.
+
+    The sum runs over the support of the deeper function, where the
+    shallower one is evaluated; off that support the terms vanish.
+    """
+    if not _same_system(f, g):
         raise InputError("functions live over different systems")
-    d = max(f.depth, g.depth)
-    fr = refine(f, d)
-    gr = refine(g, d)
+    if f.depth == g.depth:
+        terms = ((x, v, g.values.get(x)) for x, v in f.values.items())
+    elif f.depth > g.depth:
+        terms = ((x, v, evaluate(g, x)) for x, v in f.values.items())
+    else:
+        terms = ((x, evaluate(f, x), w) for x, w in g.values.items())
+    B = f.system.B
     total = 0.0 + 0.0j
-    for x, v in fr.values.items():
-        w = gr.values.get(x)
+    for x, v, w in terms:
         if w is not None:
-            total += v.conj() @ f.system.B(last_letter(x)) @ w
+            total += v.conj() @ B(last_letter(x)) @ w
     return complex(total)
 
 
@@ -165,42 +248,46 @@ def act(
 ) -> MultiplicativeFunction:
     """Left translation: the function ``z -> f(x^-1 z)`` at depth ``N + |x|``.
 
-    A value at ``z`` in the new sphere is nonzero only when the depth-``N``
-    prefix of ``x^-1 z`` supports ``f``; the support is therefore walked by
-    extending each supporting word by at most ``2 |x|`` letters.
+    Output-sensitive: for ``z = x w`` with exactly ``k`` letters of ``x``
+    cancelling, ``|w| = N + 2k`` and ``w`` starts with the first ``k``
+    letters of ``x^-1`` (its letter ``k`` differs from that of ``x^-1``
+    unless ``k = |x|``).  Each shell ``k`` propagates from the supporting
+    words along exactly those extensions, and ``z`` is read off as the
+    first ``|x| - k`` letters of ``x`` followed by the rest of ``w``.
     """
     if x.alphabet != f.alphabet:
         raise InputError("word over a different alphabet")
-    n_out = f.depth + len(x)
     if len(x) == 0:
         return f
-    _check_depth(n_out, depth_cap)
+    n, m = f.depth, len(x)
+    _check_depth(n + m, depth_cap)
     sysm = f.system
     al = f.alphabet
+    u = x.inverse().data
     out: dict[Word, np.ndarray] = {}
-    max_ext = 2 * len(x)
-
-    def walk(w: Word, v: np.ndarray, ext: int) -> None:
-        z = x * w
-        if len(z) == n_out and np.any(v):
-            out[z] = v
-        if ext == max_ext:
-            return
-        t = last_letter(w)
-        banned = al.inverse(t)
-        for c in al.letters:
-            if c == banned:
-                continue
-            m = sysm._H.get((c, t))
-            if m is None:
-                continue
-            v2 = m @ v
-            if np.any(v2):
-                walk(Word(al, w.data + (al._to_int[c],)), v2, ext + 1)
-
-    for p, vp in f.values.items():
-        walk(p, vp, 0)
-    return MultiplicativeFunction(sysm, n_out, out)
+    for k in range(m + 1):
+        lead = min(k, n)
+        seeds = {
+            p: v
+            for p, v in f.values.items()
+            if p.data[:lead] == u[:lead] and (k >= n or k == m or p.data[k] != u[k])
+        }
+        if not seeds:
+            continue
+        layer = _layer(seeds)
+        for i in range(n, n + 2 * k):
+            if i < k:
+                allowed = (u[i],)
+            elif i == k and k < m:
+                allowed = tuple(c for c in al._file_ints if c != u[k])
+            else:
+                allowed = None
+            layer = _step(sysm, layer, allowed)
+        head = x.data[: m - k]
+        for keys, V in layer.values():
+            for w, row in zip(keys, V):
+                out[Word(al, head + w[k:])] = row
+    return MultiplicativeFunction(sysm, n + m, out)
 
 
 def norm_via_subtree(f: MultiplicativeFunction, tree: FiniteSubtree) -> float:
@@ -231,8 +318,12 @@ def matrix_coefficient(
 def functions_close(
     f: MultiplicativeFunction, g: MultiplicativeFunction, tol: float = 1e-9
 ) -> bool:
-    """Equality after refining to a common depth, within ``tol`` per value."""
-    if not f.system.close_to(g.system):
+    """Equality after refining to a common depth, within ``tol`` per value.
+
+    The shallower function is refined, not only evaluated on the deeper
+    one's support: its values off that support must vanish too.
+    """
+    if not _same_system(f, g):
         return False
     d = max(f.depth, g.depth)
     fr = refine(f, d)

@@ -16,7 +16,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .errors import InputError, InternalCheckError, ValidationError
-from .multfunc import MultiplicativeFunction, _check_depth, evaluate
+from .multfunc import MultiplicativeFunction, evaluate, sample_then_refine
 from .subgroup import FundamentalSubtree, decompose_left
 from .system import MatrixSystem, compatibility_defect
 from .words import FiniteSubtree, Word, ball, drop_last, first_letter, last_letter, sphere
@@ -88,33 +88,28 @@ def restrict_function(
 
     The value at a subgroup word ``y b``, with ``b`` its final letter, is
     the input evaluated at ``expand(y)`` times the contact vertex of
-    ``b``.
+    ``b``.  The output is multiplicative over the restricted system, so it
+    is sampled on the smallest sphere the input determines and refined.
     """
     if f.system is not sys and not f.system.close_to(sys):
         raise InputError("function does not live over the given system")
     if restricted is None:
         restricted = restrict_system(fs, sys)
-    sub = fs.subgroup_alphabet
     n_out = depth if depth is not None else f.depth
-    _check_depth(n_out, depth_cap)
 
-    values: dict[Word, np.ndarray] = {}
-    for yb in sphere(sub, n_out):
+    def sample(yb: Word) -> np.ndarray | None:
         b = last_letter(yb)
-        sample = fs.expand(drop_last(yb)) * fs.contact[b]
-        if len(sample) < f.depth:
-            raise ValidationError(
-                f"output depth {n_out} is too small for input depth {f.depth}"
-            )
-        if last_letter(sample) != fs.contact_letter[b]:
+        s = fs.expand(drop_last(yb)) * fs.contact[b]
+        if len(s) < f.depth:
+            return None
+        if last_letter(s) != fs.contact_letter[b]:
             raise InternalCheckError(
-                f"sample for {yb} ends at {last_letter(sample)!r}, "
+                f"sample for {yb} ends at {last_letter(s)!r}, "
                 f"not the contact letter {fs.contact_letter[b]!r}"
             )
-        vec = evaluate(f, sample)
-        if np.any(vec):
-            values[yb] = vec
-    return MultiplicativeFunction(restricted, n_out, values)
+        return evaluate(f, s)
+
+    return sample_then_refine(restricted, n_out, sample, f.depth, depth_cap)
 
 
 def coset_pairs(fs: FundamentalSubtree, a: str) -> list[tuple[Word, str]]:
@@ -271,10 +266,8 @@ def induce_function(
         if depth is not None
         else stretch * (n_max + 1) + 2 * d_max + 1
     )
-    _check_depth(n_out, depth_cap)
 
-    values: dict[Word, np.ndarray] = {}
-    for xa in sphere(al, n_out):
+    def sample(xa: Word) -> np.ndarray | None:
         a = last_letter(xa)
         x = drop_last(xa)
         vec = np.zeros(induced.dims[a], dtype=complex)
@@ -291,10 +284,7 @@ def induce_function(
             w = _tile_word(fs, h * fs.gamma_of[c])
             member = family[v]
             if len(w) < member.depth:
-                raise ValidationError(
-                    f"output depth {n_out} is too small for input depth "
-                    f"{member.depth}"
-                )
+                return None
             if last_letter(w) != c:
                 raise InternalCheckError(
                     f"sample word for ({u}, {c}) at {xa} ends at "
@@ -302,9 +292,9 @@ def induce_function(
                 )
             vec[pos : pos + d] = evaluate(member, w)
             pos += d
-        if np.any(vec):
-            values[xa] = vec
-    return MultiplicativeFunction(induced, n_out, values)
+        return vec
+
+    return sample_then_refine(induced, n_out, sample, n_max, depth_cap)
 
 
 def truncation_subtree(

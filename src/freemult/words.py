@@ -117,6 +117,8 @@ class Alphabet:
         return symbol in self._inv_sym
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Alphabet)
             and self.letters == other.letters
@@ -189,6 +191,8 @@ class Word:
         return bool(self.data)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, Word)
             and self.data == other.data

@@ -23,6 +23,7 @@ from freemult import (
     find_proper_invariant,
     map_residual,
     maximal_invariant,
+    normalize_to_compatible,
     pf_eigenpair,
     quotient_system,
     strip_null_directions,
@@ -179,3 +180,26 @@ def test_decompose_rejects_incompatible(rng):
     sys0 = random_compatible(rng).scale_H(1.3)
     with pytest.raises(ValidationError):
         decompose(sys0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the randomized invariant search misses the invariant subsystems "
+    "of a sum of two equivalent irreducibles (ROADMAP Open item 3)",
+)
+def test_sum_of_equivalent_irreducibles_splits():
+    rng = np.random.default_rng(11)
+    dims = {a: 2 for a in AB.letters}
+    H = {}
+    for a in AB.letters:
+        for b in AB.letters:
+            if b != AB.inverse(a):
+                m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                H[(b, a)] = m / np.sqrt(2 * 3.0)
+    V, _ = normalize_to_compatible(
+        MatrixSystem(AB, dims, H, {a: np.eye(2) for a in AB.letters})
+    )
+    J = SystemMap(AB, {a: random_unitary(rng, 4) for a in AB.letters})
+    hidden = conjugate(direct_sum(V, V), J)
+    parts = decompose(hidden)
+    assert [c.dims for c, _ in parts] == [dims, dims]

@@ -7,8 +7,11 @@ refinement machinery.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freemult import (
+    MatrixSystem,
     MultiplicativeFunction,
     ResourceLimitError,
     ValidationError,
@@ -106,8 +109,13 @@ def test_inner_product_structure(rng):
         sys0, 2, {x: (2 + 1j) * v for x, v in f.values.items()}
     )
     assert inner_product(f2, g) == pytest.approx((2 - 1j) * ip)
-    # mixed depths agree with refining by hand
+    # mixed depths agree with refining by hand, either argument deeper
     assert inner_product(f, h) == pytest.approx(inner_product(refine(f, 3), h))
+    assert inner_product(h, f) == pytest.approx(inner_product(h, refine(f, 3)))
+    # a sparse deeper argument: only its support contributes
+    k = MultiplicativeFunction(sys0, 4, dict(list(refine(h, 4).values.items())[::9]))
+    assert inner_product(k, g) == pytest.approx(inner_product(k, refine(g, 4)))
+    assert inner_product(g, k) == pytest.approx(inner_product(refine(g, 4), k))
 
 
 def test_act_translates_support(spherical):
@@ -146,6 +154,71 @@ def test_act_composes(rng):
     f = random_function(rng, sys0, 2)
     x, y = AB.word("ab"), AB.word("Ba")
     assert functions_close(act(x, act(y, f)), act(x * y, f), tol=1e-9)
+
+
+def test_act_shells_past_the_support_depth(rng):
+    # |x| > N, and support words that x cancels completely: the shells
+    # k >= N start from a prefix of x^-1 and follow x^-1 beyond the support
+    sys0 = random_compatible(rng)
+    x = AB.word("abAbb")
+    xi = x.inverse()
+    for depth in (1, 2, 3):
+        words = [xi.prefix(depth)] + [w for w in sphere(AB, depth)[::5] if w != xi.prefix(depth)]
+        values = {
+            w: rng.standard_normal(sys0.dims[w.letters()[-1]]) + 0j for w in words
+        }
+        f = MultiplicativeFunction(sys0, depth, values)
+        g = act(x, f)
+        assert g.depth == depth + len(x)
+        support = set()
+        for z in sphere(AB, g.depth):
+            want = eval_oracle(sys0, depth, f.values, xi * z)
+            got = g.values.get(z, np.zeros_like(want))
+            assert np.allclose(got, want, atol=1e-12)
+            if np.any(want):
+                support.add(z)
+        assert set(g.values) == support
+
+
+def test_act_inverse_round_trip(rng):
+    sys0 = random_compatible(rng)
+    f = random_function(rng, sys0, 2)
+    for spec in ("a", "bA", "abA"):
+        x = AB.word(spec)
+        back = act(x, act(x.inverse(), f))
+        assert back.depth == f.depth + 2 * len(x)
+        assert functions_close(back, f, tol=1e-9)
+        assert functions_close(refine(f, back.depth), back, tol=1e-9)
+
+
+ACT_SYSTEM = random_compatible(np.random.default_rng(7))
+ACT_F = MultiplicativeFunction(
+    ACT_SYSTEM,
+    1,
+    {
+        AB.word("a"): np.ones(ACT_SYSTEM.dims["a"]),
+        AB.word("B"): np.arange(1, ACT_SYSTEM.dims["B"] + 1) * 1j,
+    },
+)
+short_words = st.lists(st.sampled_from("aAbB"), max_size=4).map(AB.word)
+
+
+@given(short_words, short_words)
+@settings(max_examples=25, deadline=None)
+def test_act_is_an_action(x, y):
+    assert functions_close(act(x, act(y, ACT_F)), act(x * y, ACT_F), tol=1e-9)
+
+
+def test_same_system_skips_the_numeric_comparison(rng, monkeypatch):
+    sys0 = random_compatible(rng)
+    f = random_function(rng, sys0, 2)
+
+    def fail(self, other, tol=1e-9):
+        raise AssertionError("close_to called on identical systems")
+
+    monkeypatch.setattr(MatrixSystem, "close_to", fail)
+    assert norm2(f) > 0
+    assert functions_close(f, refine(f, 3))
 
 
 def test_depth_cap_enforced(spherical):
