@@ -29,12 +29,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .multfunc import (
-    MultiplicativeFunction,
-    _check_depth,
-    evaluate,
-    sample_then_refine,
-)
+from .multfunc import MultiplicativeFunction, evaluate, sample_then_refine
 from .subgroup import automaton_from_generators
 from .system import MatrixSystem, compatibility_defect
 from .words import Alphabet, FiniteSubtree, Word, drop_last, last_letter
@@ -533,7 +528,6 @@ def intertwine_changegen(
         transported = transport_system(gm, sys)
     al = gm.target
     n_out = depth if depth is not None else max(2, f.depth * gm.stretch_to_target)
-    _check_depth(n_out, depth_cap)
     blocks = {
         a: [
             (sys.dims[last_letter(y)], gm.expand(y))

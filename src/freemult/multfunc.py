@@ -63,7 +63,7 @@ class MultiplicativeFunction:
         # Checks run once per value, so each takes its cheapest exact form:
         # count_nonzero costs a quarter of ndarray.any on a short vector.
         for x, v in values.items():
-            if x.alphabet is not al and x.alphabet != al:
+            if x.alphabet != al:
                 raise InputError("support word over a different alphabet")
             if len(x.data) != depth:
                 raise InputError(
@@ -218,24 +218,17 @@ def _same_system(f: MultiplicativeFunction, g: MultiplicativeFunction) -> bool:
 
 
 def inner_product(f: MultiplicativeFunction, g: MultiplicativeFunction) -> complex:
-    """Inner product at common depth, conjugate-linear in ``f``.
-
-    The sum runs over the support of the deeper function, where the
-    shallower one is evaluated; off that support the terms vanish.
-    """
+    """Inner product at common depth, conjugate-linear in ``f``."""
     if not _same_system(f, g):
         raise InputError("functions live over different systems")
-    if f.depth == g.depth:
-        terms = ((x, v, g.values.get(x)) for x, v in f.values.items())
-    elif f.depth > g.depth:
-        terms = ((x, v, evaluate(g, x)) for x, v in f.values.items())
-    else:
-        terms = ((x, evaluate(f, x), w) for x, w in g.values.items())
-    B = f.system.B
+    d = max(f.depth, g.depth)
+    fr = refine(f, d)
+    gr = refine(g, d)
     total = 0.0 + 0.0j
-    for x, v, w in terms:
+    for x, v in fr.values.items():
+        w = gr.values.get(x)
         if w is not None:
-            total += v.conj() @ B(last_letter(x)) @ w
+            total += v.conj() @ f.system.B(last_letter(x)) @ w
     return complex(total)
 
 

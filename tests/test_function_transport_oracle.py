@@ -227,20 +227,6 @@ def test_act_matches_reference(rng):
             assert_same(act(x, f), reference_act(x, f))
 
 
-def test_act_matches_reference_on_cancelling_support(rng):
-    # support words that are prefixes of x^-1 or extend them: every shell
-    # k, including k >= N, contributes
-    sys0 = random_compatible(rng, max_dim=2)
-    x = AB.word("abAb")
-    xi = x.inverse()
-    for depth in (1, 2, 3):
-        head = xi.prefix(depth)
-        others = [w for w in sphere(AB, depth) if w != head][:2]
-        values = {w: rng.standard_normal(sys0.dims[last_letter(w)]) + 0j for w in [head, *others]}
-        f = MultiplicativeFunction(sys0, depth, values)
-        assert_same(act(x, f), reference_act(x, f))
-
-
 @pytest.mark.parametrize("index", [2, 3])
 def test_restrict_function_matches_reference(rng, index, index2_automaton, index3_automaton):
     fs = schreier_subtree(index2_automaton if index == 2 else index3_automaton)

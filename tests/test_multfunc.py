@@ -112,7 +112,7 @@ def test_inner_product_structure(rng):
     # mixed depths agree with refining by hand, either argument deeper
     assert inner_product(f, h) == pytest.approx(inner_product(refine(f, 3), h))
     assert inner_product(h, f) == pytest.approx(inner_product(h, refine(f, 3)))
-    # a sparse deeper argument: only its support contributes
+    # a sparse deeper argument
     k = MultiplicativeFunction(sys0, 4, dict(list(refine(h, 4).values.items())[::9]))
     assert inner_product(k, g) == pytest.approx(inner_product(k, refine(g, 4)))
     assert inner_product(g, k) == pytest.approx(inner_product(refine(g, 4), k))
