@@ -20,11 +20,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, InternalCheckError, ValidationError
-from .perron import apply_transfer, pf_eigenpair
+from .perron import pf_eigenpair
 from .system import (
     MatrixSystem,
     Subsystem,
     SystemMap,
+    apply_transfer,
     compatibility_defect,
     invariance_defect,
     map_residual,
@@ -71,8 +72,9 @@ def closure_subsystem(
     """Smallest invariant subsystem containing the given seed vectors.
 
     ``seeds`` maps letters to matrices whose columns are the seed vectors;
-    missing letters seed nothing.  Spans are grown along the transfer
-    matrices until stable.
+    missing letters seed nothing.  Each sweep grows the span at every letter
+    that is not yet full by the images of all spans one step before it,
+    until a sweep adds nothing.
     """
     basis: dict[str, np.ndarray] = {}
     for a in sys.alphabet.letters:
@@ -86,15 +88,21 @@ def closure_subsystem(
             if s.shape[0] != sys.dims[a]:
                 raise InputError(f"seed at {a!r} has wrong dimension")
             basis[a] = orthonormal_columns(s)
+    into: dict[str, list[tuple[str, np.ndarray]]] = {b: [] for b in basis}
+    for (b, a), m in sys._H.items():
+        into[b].append((a, m))
     changed = True
     while changed:
         changed = False
-        for (b, a), m in sys._H.items():
-            if basis[a].shape[1] == 0 or sys.dims[b] == 0:
+        for b, sources in into.items():
+            k = basis[b].shape[1]
+            if k == sys.dims[b]:
                 continue
-            aug = np.hstack([basis[b], m @ basis[a]])
-            q = orthonormal_columns(aug)
-            if q.shape[1] > basis[b].shape[1]:
+            images = [m @ basis[a] for a, m in sources if basis[a].shape[1]]
+            if not images:
+                continue
+            q = orthonormal_columns(np.hstack([basis[b], *images]))
+            if q.shape[1] > k:
                 basis[b] = q
                 changed = True
     return Subsystem(sys.alphabet, basis)

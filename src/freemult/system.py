@@ -156,23 +156,35 @@ class MatrixSystem:
         return f"MatrixSystem({d})"
 
 
+def apply_transfer(
+    sys: MatrixSystem, forms: Mapping[str, np.ndarray]
+) -> dict[str, np.ndarray]:
+    """One transfer step ``(X_a)_a -> (sum_b H(b,a)* X_b H(b,a))_a``: pull
+    each form back along the outgoing matrices."""
+    out = {
+        a: np.zeros((sys.dims[a], sys.dims[a]), dtype=complex)
+        for a in sys.alphabet.letters
+    }
+    for (b, a), m in sys._H.items():
+        out[a] += m.conj().T @ np.asarray(forms[b], dtype=complex) @ m
+    return out
+
+
 def compatibility_defect(sys: MatrixSystem) -> float:
     """Worst-case spectral-norm gap in the compatibility identity.
 
     ``max_a || B_a - sum_b H(b,a)* B_b H(b,a) ||_2``; zero exactly when the
     forms reproduce themselves under one transfer step.
     """
-    worst = 0.0
-    for a in sys.alphabet.letters:
-        if sys.dims[a] == 0:
-            continue
-        acc = np.zeros((sys.dims[a], sys.dims[a]), dtype=complex)
-        for b in sys.alphabet.letters:
-            m = sys._H.get((b, a))
-            if m is not None and sys.dims[b] > 0:
-                acc += m.conj().T @ sys.B(b) @ m
-        worst = max(worst, float(np.linalg.norm(sys.B(a) - acc, 2)))
-    return worst
+    img = apply_transfer(sys, sys._B)
+    return max(
+        (
+            float(np.linalg.norm(sys.B(a) - img[a], 2))
+            for a in sys.alphabet.letters
+            if sys.dims[a]
+        ),
+        default=0.0,
+    )
 
 
 class Subsystem:

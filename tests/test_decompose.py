@@ -28,8 +28,10 @@ from freemult import (
     quotient_system,
     strip_null_directions,
 )
+from freemult.decompose import _dual_system
+from freemult.system import orthonormal_columns
 
-from .conftest import AB, make_spherical, random_compatible, random_unitary
+from .conftest import AB, _pairs, make_spherical, random_compatible, random_unitary
 
 
 def certified_irreducible(rng, max_dim=2, trials=50):
@@ -63,6 +65,80 @@ def test_closure_on_zero_map_system():
     sub = closure_subsystem(sys0, {"a": np.array([1.0, 0.0])})
     assert sub.dims() == {"a": 1, "A": 0, "b": 0, "B": 0}
     assert find_proper_invariant(sys0) is not None
+
+
+def reference_closure(sys, seeds):
+    """Closure grown one stored pair at a time, until a sweep over all
+    pairs adds nothing (the construction before the batched sweep)."""
+    basis = {
+        a: orthonormal_columns(seeds.get(a, np.zeros((sys.dims[a], 0))))
+        for a in sys.alphabet.letters
+    }
+    changed = True
+    while changed:
+        changed = False
+        for (b, a), m in sys._H.items():
+            if basis[a].shape[1] == 0 or sys.dims[b] == 0:
+                continue
+            q = orthonormal_columns(np.hstack([basis[b], m @ basis[a]]))
+            if q.shape[1] > basis[b].shape[1]:
+                basis[b] = q
+                changed = True
+    return basis
+
+
+def sparse_system(rng, dims, keep=0.5):
+    """Gaussian transfers on a random share of the admissible pairs, with a
+    random rank each, so closures of small seeds are often proper."""
+    H = {}
+    for b, a in _pairs(AB):
+        if rng.random() >= keep or not dims[a] or not dims[b]:
+            continue
+        r = int(rng.integers(1, min(dims[a], dims[b]) + 1))
+        left = rng.standard_normal((dims[b], r)) + 1j * rng.standard_normal((dims[b], r))
+        right = rng.standard_normal((r, dims[a])) + 1j * rng.standard_normal((r, dims[a]))
+        H[(b, a)] = left @ right / 3
+    return MatrixSystem(AB, dims, H, {a: np.eye(dims[a]) for a in AB.letters})
+
+
+def assert_same_spans(got, want):
+    for a in AB.letters:
+        p, q = got.basis[a], want[a]
+        assert p.shape == q.shape
+        assert np.linalg.norm(p @ p.conj().T - q @ q.conj().T) <= 1e-10
+
+
+def test_batched_closure_matches_per_pair_reference(rng):
+    # (system, seeds that span one planted summand or None)
+    cases = []
+    for _ in range(4):
+        # zero-dimensional letters included
+        dims = {a: int(rng.integers(0, 4)) for a in AB.letters}
+        if any(dims.values()):
+            cases.append((sparse_system(rng, dims), None))
+    for _ in range(2):
+        first = certified_irreducible(rng, max_dim=2)
+        total = direct_sum(first, certified_irreducible(rng, max_dim=2))
+        J = SystemMap(AB, {a: random_unitary(rng, total.dims[a]) for a in AB.letters})
+        cases.append((conjugate(total, J), {"a": J["a"][:, : first.dims["a"]]}))
+    cases += [(_dual_system(s), None) for s, _ in cases]
+    proper = 0
+    for sys0, piece in cases:
+        letters = [a for a in AB.letters if sys0.dims[a]]
+        for _ in range(4):
+            seeds = {}
+            for a in rng.choice(letters, size=int(rng.integers(1, 3))):
+                k = int(rng.integers(1, sys0.dims[a] + 1))
+                seeds[a] = rng.standard_normal((sys0.dims[a], k)) + 0j
+            got = closure_subsystem(sys0, seeds)
+            assert_same_spans(got, reference_closure(sys0, seeds))
+            proper += not got.is_full(sys0)
+        if piece is not None:
+            got = closure_subsystem(sys0, piece)
+            assert_same_spans(got, reference_closure(sys0, piece))
+            assert 0 < got.total_dim < sys0.total_dim
+    # the comparison covers proper closures, not only full ones
+    assert proper >= 5
 
 
 def test_strip_null_directions(spherical):

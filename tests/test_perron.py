@@ -3,11 +3,16 @@
 The oracle assembles the full complex matrix of the map on stacked
 row-major vectorizations (one Kronecker block per letter pair) and takes
 the largest eigenvalue modulus.  This shares no code with the production
-path, which iterates on a real coordinatization of Hermitian tuples.
+path, which certifies the radius by a power iteration in the cone of
+positive semidefinite tuples and falls back to a dense solver on a real
+coordinatization of Hermitian tuples.  The tests below also pin which of
+the two paths answers, by counting calls to ``transfer_matrix``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freemult import (
     MatrixSystem,
@@ -17,10 +22,11 @@ from freemult import (
     compatibility_defect,
     normalize_to_compatible,
     pf_eigenpair,
+    perron,
     transfer_matrix,
 )
 
-from .conftest import AB, make_spherical, random_system
+from .conftest import AB, _pairs, make_spherical, random_system
 
 
 def dense_rho_oracle(sys):
@@ -134,3 +140,164 @@ def test_normalize_rejects_degenerate():
     )
     with pytest.raises(ValidationError):
         normalize_to_compatible(dead)
+
+
+def gaussian_system(rng, dims, pairs=None):
+    """Complex Gaussian transfers on ``pairs`` (all admissible ones by
+    default), identity forms; zero-dimensional letters are allowed."""
+    H = {}
+    for b, a in pairs or _pairs(AB):
+        m = rng.standard_normal((dims[b], dims[a]))
+        m = m + 1j * rng.standard_normal((dims[b], dims[a]))
+        H[(b, a)] = m / np.sqrt(3.0 * max(dims[b], 1))
+    return MatrixSystem(AB, dims, H, {a: np.eye(dims[a]) for a in AB.letters})
+
+
+def reference_to_vector(sys, forms):
+    """Per-entry Hermitian coordinates: per letter the diagonal, then the
+    real and imaginary part of each upper entry, row by row."""
+    v = []
+    for a in sys.alphabet.letters:
+        x = np.asarray(forms[a])
+        d = sys.dims[a]
+        v.extend(x[i, i].real for i in range(d))
+        for i in range(d):
+            for j in range(i + 1, d):
+                v.extend((x[i, j].real, x[i, j].imag))
+    return np.array(v, dtype=float)
+
+
+def reference_from_vector(sys, v):
+    out, k = {}, 0
+    for a in sys.alphabet.letters:
+        d = sys.dims[a]
+        x = np.zeros((d, d), dtype=complex)
+        for i in range(d):
+            x[i, i] = v[k]
+            k += 1
+        for i in range(d):
+            for j in range(i + 1, d):
+                x[i, j] = v[k] + 1j * v[k + 1]
+                x[j, i] = v[k] - 1j * v[k + 1]
+                k += 2
+        out[a] = x
+    return out
+
+
+def reference_transfer_matrix(sys):
+    """One ``apply_transfer`` per Hermitian basis vector, through the
+    per-entry coordinates."""
+    n = sum(d * d for d in sys.dims.values())
+    m = np.zeros((n, n))
+    for k, e in enumerate(np.eye(n)):
+        m[:, k] = reference_to_vector(
+            sys, apply_transfer(sys, reference_from_vector(sys, e))
+        )
+    return m
+
+
+def test_transfer_matrix_matches_reference_on_mixed_dims(rng):
+    for _ in range(12):
+        dims = {a: int(rng.integers(0, 6)) for a in AB.letters}
+        if not any(dims.values()):
+            continue
+        sys0 = gaussian_system(rng, dims)
+        M, layout = transfer_matrix(sys0)
+        ref = reference_transfer_matrix(sys0)
+        assert M.shape == ref.shape
+        assert np.max(np.abs(M - ref), initial=0.0) <= 1e-13 * max(
+            1.0, np.max(np.abs(ref), initial=0.0)
+        )
+        # the coordinates themselves agree with the per-entry loops
+        forms = apply_transfer(sys0, {a: np.eye(dims[a]) for a in AB.letters})
+        v = layout.to_vector(forms)
+        assert np.array_equal(v, reference_to_vector(sys0, forms))
+        back = layout.from_vector(v)
+        ref_back = reference_from_vector(sys0, v)
+        assert all(np.array_equal(back[a], ref_back[a]) for a in AB.letters)
+
+
+class CountDense:
+    """Counts the dense fallback through a patched ``transfer_matrix``."""
+
+    def __init__(self, mp):
+        self.calls = 0
+        inner = perron.transfer_matrix
+
+        def counted(sys):
+            self.calls += 1
+            return inner(sys)
+
+        mp.setattr(perron, "transfer_matrix", counted)
+
+
+def assert_eigenpair(sys0, rho, forms):
+    assert rho == pytest.approx(dense_rho_oracle(sys0), abs=1e-9)
+    assert sum(np.trace(x).real for x in forms.values()) == pytest.approx(1.0)
+    for x in forms.values():
+        assert np.linalg.eigvalsh(x).min(initial=0.0) >= -1e-9
+    out = apply_transfer(sys0, forms)
+    assert max(np.linalg.norm(out[a] - rho * forms[a]) for a in AB.letters) <= 1e-8
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.fixed_dictionaries({a: st.integers(1, 8) for a in AB.letters}),
+)
+def test_certified_rho_matches_dense_oracle(seed, dims):
+    sys0 = gaussian_system(np.random.default_rng(seed), dims)
+    with pytest.MonkeyPatch.context() as mp:
+        dense = CountDense(mp)
+        rho, forms = pf_eigenpair(sys0)
+    assert dense.calls == 0, "the cone iteration did not certify"
+    want = dense_rho_oracle(sys0)
+    assert abs(rho - want) <= 1e-10 * max(1.0, want)
+    assert_eigenpair(sys0, rho, forms)
+
+
+def test_fallback_on_nilpotent_system(monkeypatch):
+    dims = {a: 1 for a in AB.letters}
+    sys0 = MatrixSystem(
+        AB, dims, {("b", "a"): [[1.0]]}, {a: [[1.0]] for a in AB.letters}
+    )
+    dense = CountDense(monkeypatch)
+    rho, forms = pf_eigenpair(sys0)
+    assert dense.calls == 1
+    assert rho == 0.0
+    assert_eigenpair(sys0, rho, forms)
+
+
+def test_fallback_on_singular_eigentuple(monkeypatch):
+    # upper-triangular transfers leave the first coordinate line invariant;
+    # the quotient grows faster (3 * 0.6**2 against 3 * 0.3**2), so the
+    # leading eigentuple is pulled back from it and kills that line
+    H = {(b, a): np.array([[0.3, 0.5], [0.0, 0.6]]) for b, a in _pairs(AB)}
+    sys0 = MatrixSystem(
+        AB, {a: 2 for a in AB.letters}, H, {a: np.eye(2) for a in AB.letters}
+    )
+    dense = CountDense(monkeypatch)
+    rho, forms = pf_eigenpair(sys0)
+    assert dense.calls == 1
+    assert rho == pytest.approx(3 * 0.36, abs=1e-12)
+    assert_eigenpair(sys0, rho, forms)
+    for x in forms.values():
+        assert abs(x[0, 0]) <= 1e-9
+
+
+def test_fallback_on_bipartite_system(monkeypatch):
+    # transfers only between {a, A} and {b, B}: the operator swaps the two
+    # halves of a tuple, so -rho is an eigenvalue too and the iterates
+    # alternate without converging
+    rng = np.random.default_rng(5)
+    halves = ({"a", "A"}, {"b", "B"})
+    pairs = [(b, a) for b, a in _pairs(AB) if (a in halves[0]) != (b in halves[0])]
+    sys0 = gaussian_system(rng, {"a": 2, "A": 1, "b": 2, "B": 3}, pairs)
+    mat, _ = transfer_matrix(sys0)
+    evals = np.linalg.eigvals(mat)
+    rho_want = dense_rho_oracle(sys0)
+    assert np.min(np.abs(evals + rho_want)) <= 1e-9 * rho_want
+    dense = CountDense(monkeypatch)
+    rho, forms = pf_eigenpair(sys0)
+    assert dense.calls == 1
+    assert_eigenpair(sys0, rho, forms)
