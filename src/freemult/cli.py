@@ -80,7 +80,7 @@ def _cmd_normalize(args) -> None:
 
 def _cmd_decompose(args) -> None:
     sysm = system_from_json(_load(args.system))
-    parts = decompose(sysm, tol=args.tol, max_trials=args.trials, seed=args.seed)
+    parts = decompose(sysm, tol=args.tol)
     _dump(
         {
             "count": len(parts),
@@ -192,8 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("decompose", _cmd_decompose, "split a compatible system into irreducibles")
     p.add_argument("system")
-    p.add_argument("--trials", type=int, default=50, help="random trials")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
 
     p = add("changegen", _cmd_changegen, "re-express a system over new generators")
     p.add_argument("map")

@@ -10,9 +10,16 @@ eigentuple of the quotient by a maximal invariant subsystem and
 semidefinite — peels one irreducible summand; recursion on the remaining
 invariant part yields the full decomposition.
 
-Invariant-subsystem search is randomized (closures of random vectors,
-annihilators of random dual closures, eigenspaces of random loop
-operators) with a caller-controlled trial budget and seed.
+Irreducibility is certified, not sampled.  For the letter ``a`` of
+smallest nonzero dimension, a system is irreducible exactly when the
+closure of ``V_a`` and the closure of ``V_a`` in the dual system are
+everything and the loop algebra ``M_a`` (the span of the path products
+from ``a`` back to ``a``) is all of ``End(V_a)`` — a Burnside/density
+certificate, computed as a closure in an auxiliary system on the spaces
+``Hom(V_a, V_c)``.  When ``M_a`` is smaller, Norton's test from the MeatAxe
+(Holt and Rees, 1994) spins one eigenvector per eigenvalue of a fixed
+generic element of ``M_a`` and of its adjoint to find a proper invariant
+subsystem.  Every step is deterministic.
 """
 
 from __future__ import annotations
@@ -36,14 +43,33 @@ from .system import (
     restrict_to_subsystem,
 )
 
+# Default bound on the compatibility defect of an input system.
+_COMPAT_TOL = 1e-8
 # Invariance residuals below this are treated as exact.
 _INV_TOL = 1e-7
 # Half-width of the band around one for quotient spectral radii.
 _RHO_BAND = 1e-8
+# A quotient spectral radius this far above one is an error, not rounding.
+_RHO_CEILING = 100 * _RHO_BAND
+# Eigenvalues of a generic loop operator closer than this, relative to the
+# spectral radius (or one), are taken as one eigenvalue.
+_EIG_CLUSTER_RTOL = 1e-8
+# Pulled-back forms smaller than this relative to the largest count as zero.
+_VANISH_RTOL = 1e-14
+# Eigenvalues of the residual form within this of zero, relative to the
+# norm of the form (or one), span the splitting kernel.
+_KERNEL_RTOL = 1e-7
+# A residual-form eigenvalue below minus this many kernel cutoffs means the
+# residual form lost positivity.
+_POSITIVITY_SLACK = 10
+# Relative gap allowed between the two routes to a component's forms.
+_ROUTE_RTOL = 1e-6
+# Floor on the compatibility tolerance applied to emitted components.
+_COMPONENT_DEFECT_FLOOR = 1e-8
 
 
 def strip_null_directions(
-    sys: MatrixSystem, tol: float = 1e-8
+    sys: MatrixSystem, tol: float = _COMPAT_TOL
 ) -> tuple[MatrixSystem, Subsystem]:
     """Remove the letterwise kernels of the forms from a compatible system.
 
@@ -116,7 +142,7 @@ def _dual_system(sys: MatrixSystem) -> MatrixSystem:
     """
     H = {(a, b): m.conj().T for (b, a), m in sys._H.items()}
     B = {a: np.eye(sys.dims[a], dtype=complex) for a in sys.alphabet.letters}
-    return MatrixSystem(sys.alphabet, dict(sys.dims), H, B)
+    return MatrixSystem._unchecked(sys.alphabet, sys.dims, H, B)
 
 
 def _annihilator(sub: Subsystem, sys: MatrixSystem) -> Subsystem:
@@ -135,95 +161,120 @@ def _is_proper_invariant(sys: MatrixSystem, sub: Subsystem) -> bool:
     return invariance_defect(sys, sub) <= _INV_TOL
 
 
-def _random_unit(rng: np.random.Generator, d: int) -> np.ndarray:
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return v / np.linalg.norm(v)
+def _loop_algebra(sys: MatrixSystem, a: str) -> np.ndarray:
+    """Orthonormal basis ``(k, d_a, d_a)`` of the loop algebra at ``a``.
+
+    The span of the path products from ``a`` back to ``a``, the identity
+    included, is the closure of ``vec(I)`` at ``a`` in the auxiliary system
+    with spaces ``Hom(V_a, V_c)`` and transfers ``X -> H(c,b) X``, which act
+    on column-major ``vec(X)`` as ``kron(I_{d_a}, H(c,b))``.
+    """
+    d = sys.dims[a]
+    eye = np.eye(d, dtype=complex)
+    aux = MatrixSystem._unchecked(
+        sys.alphabet,
+        {c: d * n for c, n in sys.dims.items()},
+        {pair: np.kron(eye, m) for pair, m in sys._H.items()},
+        {c: np.eye(d * n, dtype=complex) for c, n in sys.dims.items()},
+    )
+    span = closure_subsystem(aux, {a: eye.reshape(-1, 1)}).basis[a]
+    # column k is vec(M_k) in column-major order
+    return span.T.reshape(-1, d, d).transpose(0, 2, 1)
 
 
-def _random_loop_operator(
-    sys: MatrixSystem, rng: np.random.Generator, a: str, length: int
-) -> np.ndarray | None:
-    """Product of transfer matrices along a random admissible letter path
-    from ``a`` back to ``a``."""
-    inv = sys.alphabet.inverse
-    letters = [c for c in sys.alphabet.letters if sys.dims[c] > 0]
-    path = [a]
-    for _ in range(length - 1):
-        options = [c for c in letters if c != inv(path[-1])]
-        if not options:
-            return None
-        path.append(options[rng.integers(len(options))])
-    if a == inv(path[-1]):
-        return None
-    path.append(a)
-    op = np.eye(sys.dims[a], dtype=complex)
-    for src, dst in zip(path, path[1:]):
-        op = sys.H(dst, src) @ op
-    return op
+def _spin(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of ``M v`` over the matrices ``M``."""
+    return orthonormal_columns((mats @ v).T)
 
 
-def find_proper_invariant(
-    sys: MatrixSystem, max_trials: int = 50, seed: int = 0
-) -> Subsystem | None:
-    """Search for a proper nonzero invariant subsystem.
+def find_proper_invariant(sys: MatrixSystem) -> Subsystem | None:
+    """A proper nonzero invariant subsystem, or ``None`` as a certificate
+    that the system is irreducible.
 
-    Rotates through three randomized strategies: the closure of a random
-    vector, the annihilator of a random dual closure, and closures of
-    eigenspaces of random loop operators.  Returns ``None`` when every
-    trial produces only the zero or the full subsystem; a ``None`` is the
-    operational certificate of irreducibility at this trial budget.
+    With ``a`` the letter of smallest nonzero dimension: the closure of
+    ``V_a`` when it is proper; else the annihilator of the closure of
+    ``V_a`` in the dual system when that is proper; else ``None`` when the
+    loop algebra ``M_a`` is all of ``End(V_a)``, since then an invariant
+    subsystem is either full at ``a`` (hence full) or zero at ``a`` (hence
+    annihilated by every path into ``a``, hence zero).  Otherwise ``V_a``
+    is a reducible ``M_a``-module (Burnside), and for each eigenvalue of a
+    fixed generic element ``theta`` of ``M_a`` one eigenvector of
+    ``theta`` is spun under ``M_a`` and one of ``theta*`` under ``M_a*``
+    (Norton's test); the closure of the first proper span, or of the
+    annihilator of the first proper dual span, is returned.
     """
     if sys.total_dim == 0:
         raise InputError("invariant search needs a nonzero system")
-    rng = np.random.default_rng(seed)
-    dual = _dual_system(sys)
-    letters = [a for a in sys.alphabet.letters if sys.dims[a] > 0]
-    for trial in range(max_trials):
-        a = letters[int(rng.integers(len(letters)))]
-        mode = trial % 3
-        if mode == 0:
-            cand = closure_subsystem(sys, {a: _random_unit(rng, sys.dims[a])})
+    a = min(
+        (c for c in sys.alphabet.letters if sys.dims[c]), key=lambda c: sys.dims[c]
+    )
+    d = sys.dims[a]
+    whole = {a: np.eye(d, dtype=complex)}
+    cand = closure_subsystem(sys, whole)
+    if _is_proper_invariant(sys, cand):
+        return cand
+    cand = _annihilator(closure_subsystem(_dual_system(sys), whole), sys)
+    if _is_proper_invariant(sys, cand):
+        return cand
+
+    mats = _loop_algebra(sys, a)
+    if mats.shape[0] == d * d:
+        return None
+    # Fixed unimodular coefficients exp(i sqrt(k)), k = 2, 3, ..., with no
+    # algebraic relation among them: theta avoids the non-generic elements
+    # (a proper algebraic subset of M_a) without a random draw.
+    coef = np.exp(1j * np.sqrt(np.arange(2, mats.shape[0] + 2)))
+    theta = np.tensordot(coef, mats, axes=1)
+    evals = np.linalg.eigvals(theta)
+    scale = max(1.0, float(np.max(np.abs(evals))))
+    adjoints = mats.conj().transpose(0, 2, 1)
+    picked: list[complex] = []
+    for lam in evals:
+        if any(abs(lam - mu) <= _EIG_CLUSTER_RTOL * scale for mu in picked):
+            continue
+        picked.append(complex(lam))
+        # the singular vectors of the smallest singular value are an
+        # eigenvector of theta (right) and one of theta* (left)
+        u, _, vh = np.linalg.svd(theta - lam * np.eye(d))
+        span = _spin(mats, vh[-1].conj())
+        if span.shape[1] < d:
+            cand = closure_subsystem(sys, {a: span})
             if _is_proper_invariant(sys, cand):
                 return cand
-        elif mode == 1:
-            z = closure_subsystem(dual, {a: _random_unit(rng, sys.dims[a])})
-            cand = _annihilator(z, sys)
+        span = _spin(adjoints, u[:, -1])
+        if span.shape[1] < d:
+            cand = closure_subsystem(sys, {a: orthogonal_complement(span, d)})
             if _is_proper_invariant(sys, cand):
                 return cand
-        else:
-            op = _random_loop_operator(sys, rng, a, int(rng.choice([2, 4])))
-            if op is None or op.shape[0] == 0:
-                continue
-            evals = np.linalg.eigvals(op)
-            scale = max(1.0, float(np.max(np.abs(evals))))
-            picked: list[complex] = []
-            for lam in evals:
-                if any(abs(lam - mu) <= 1e-8 * scale for mu in picked):
-                    continue
-                picked.append(complex(lam))
-                eig = null_space(op - lam * np.eye(op.shape[0]))
-                if 0 < eig.shape[1] < sys.dims[a]:
-                    cand = closure_subsystem(sys, {a: eig})
-                    if _is_proper_invariant(sys, cand):
-                        return cand
-    return None
+    raise InternalCheckError(
+        f"the loop algebra at {a!r} has dimension {mats.shape[0]} < {d * d}, "
+        f"yet no eigenvector of a generic element spins to a proper subspace"
+    )
 
 
-def maximal_invariant(
-    sys: MatrixSystem, max_trials: int = 50, seed: int = 0
-) -> Subsystem:
+def maximal_invariant(sys: MatrixSystem) -> Subsystem:
     """A maximal proper invariant subsystem (the quotient is irreducible).
+
+    Fails with a validation error when the input is certified irreducible.
+    """
+    first = find_proper_invariant(sys)
+    if first is None:
+        raise ValidationError(
+            "system is irreducible: it has no proper invariant subsystem"
+        )
+    return _maximal_containing(sys, first)[0]
+
+
+def _maximal_containing(
+    sys: MatrixSystem, first: Subsystem
+) -> tuple[Subsystem, MatrixSystem]:
+    """A maximal proper invariant subsystem containing the proper invariant
+    subsystem ``first``, and the (certified irreducible) quotient by it.
 
     Maintains a nonzero dual-invariant subsystem, repeatedly replacing it
     by a strictly smaller one as long as the quotient by its annihilator
-    still has a proper invariant subsystem.  Fails with a validation error
-    when the input is irreducible at this trial budget.
+    still has a proper invariant subsystem.
     """
-    first = find_proper_invariant(sys, max_trials, seed)
-    if first is None:
-        raise ValidationError(
-            "system is irreducible: no proper invariant subsystem found"
-        )
     z = _annihilator(first, sys)  # dual-invariant, nonzero since first is proper
     while True:
         w = _annihilator(z, sys)
@@ -236,9 +287,9 @@ def maximal_invariant(
         quot, _ = quotient_system(sys, w, tol=_INV_TOL)
         if quot.total_dim == 0:
             raise InternalCheckError("maximal invariant search reached a full chain")
-        finer = find_proper_invariant(quot, max_trials, seed + 1)
+        finer = find_proper_invariant(quot)
         if finer is None:
-            return w
+            return w, quot
         # Pull the quotient's invariant subsystem back to the ambient space
         # and shrink the dual-invariant subsystem accordingly.
         comp = {
@@ -294,7 +345,8 @@ def _split_off_component(
     # computed letterwise on the whitened pencil.
     lam_inv = 0.0
     for a in al.letters:
-        if sys.dims[a] == 0 or not np.any(np.abs(bt[a]) > 1e-14 * max(1.0, scale_bt)):
+        vanishing = not np.any(np.abs(bt[a]) > _VANISH_RTOL * max(1.0, scale_bt))
+        if sys.dims[a] == 0 or vanishing:
             continue
         evals, vecs = np.linalg.eigh(sys.B(a))
         if evals[0] <= 0:
@@ -314,8 +366,8 @@ def _split_off_component(
             w0[a] = np.zeros((0, 0), dtype=complex)
             continue
         evals, vecs = np.linalg.eigh((resid + resid.conj().T) / 2)
-        cut = 1e-7 * max(1.0, float(np.linalg.norm(sys.B(a), 2)))
-        if evals[0] < -cut * 10:
+        cut = _KERNEL_RTOL * max(1.0, float(np.linalg.norm(sys.B(a), 2)))
+        if evals[0] < -cut * _POSITIVITY_SLACK:
             raise InternalCheckError(
                 f"residual form at {a!r} lost positivity: {evals[0]:.3e}"
             )
@@ -341,7 +393,7 @@ def _split_off_component(
     # form must agree with the restricted pullback.
     for a in al.letters:
         direct = w0[a].conj().T @ sys.B(a) @ w0[a]
-        if direct.size and np.linalg.norm(direct - comp_B[a], 2) > 1e-6 * max(
+        if direct.size and np.linalg.norm(direct - comp_B[a], 2) > _ROUTE_RTOL * max(
             1.0, float(np.linalg.norm(sys.B(a), 2))
         ):
             raise InternalCheckError(
@@ -367,19 +419,16 @@ def _decompose_rec(
     sys: MatrixSystem,
     embed: SystemMap,
     out: list[tuple[MatrixSystem, SystemMap]],
-    tol: float,
-    max_trials: int,
-    seed: int,
 ) -> None:
     if sys.total_dim == 0:
         return
-    if find_proper_invariant(sys, max_trials, seed) is None:
+    first = find_proper_invariant(sys)
+    if first is None:
         out.append((sys, embed))
         return
-    w = maximal_invariant(sys, max_trials, seed + 17)
-    quot, _ = quotient_system(sys, w, tol=_INV_TOL)
+    w, quot = _maximal_containing(sys, first)
     rho_t, forms_t = pf_eigenpair(quot)
-    if rho_t > 1.0 + 100 * _RHO_BAND:
+    if rho_t > 1.0 + _RHO_CEILING:
         raise InternalCheckError(
             f"quotient spectral radius {rho_t} exceeds one; compatible systems "
             f"cannot do that"
@@ -389,25 +438,22 @@ def _decompose_rec(
             sys, w, quot, forms_t
         )
         out.append((component, embed.compose(comp_embed)))
-        _decompose_rec(rest, embed.compose(rest_embed), out, tol, max_trials, seed + 1)
     else:
         # Transient quotient: all weight lives on the invariant part.
         rest, rest_embed = restrict_to_subsystem(sys, w, tol=_INV_TOL)
-        _decompose_rec(rest, embed.compose(rest_embed), out, tol, max_trials, seed + 1)
+    _decompose_rec(rest, embed.compose(rest_embed), out)
 
 
 def decompose(
-    sys: MatrixSystem,
-    tol: float = 1e-8,
-    max_trials: int = 50,
-    seed: int = 0,
+    sys: MatrixSystem, tol: float = _COMPAT_TOL
 ) -> list[tuple[MatrixSystem, SystemMap]]:
     """Decompose a compatible system into irreducible compatible summands.
 
     Returns pairs ``(component, embedding)`` where each component is an
     irreducible system and each embedding is a letterwise isometry into the
     input system intertwining the transfer matrices.  Null directions of
-    the input forms are stripped first and belong to no component.
+    the input forms are stripped first and belong to no component.  Every
+    component is certified irreducible again before it is returned.
     """
     defect = compatibility_defect(sys)
     if defect > tol:
@@ -423,20 +469,20 @@ def decompose(
         },
     )
     out: list[tuple[MatrixSystem, SystemMap]] = []
-    _decompose_rec(stripped, base, out, tol, max_trials, seed)
+    _decompose_rec(stripped, base, out)
 
     h_scale = max(
         (float(np.linalg.norm(m, 2)) for m in sys._H.values()), default=1.0
     )
     for comp, emb in out:
         cd = compatibility_defect(comp)
-        if cd > max(tol, 1e-8):
+        if cd > max(tol, _COMPONENT_DEFECT_FLOOR):
             raise InternalCheckError(f"component left incompatible: defect {cd:.3e}")
         resid = map_residual(comp, sys, emb)
         if resid > _INV_TOL * max(1.0, h_scale):
             raise InternalCheckError(
                 f"component embedding fails to intertwine: residual {resid:.3e}"
             )
-        if comp.total_dim and find_proper_invariant(comp, max_trials, seed + 23):
+        if comp.total_dim and find_proper_invariant(comp) is not None:
             raise InternalCheckError("emitted component is reducible")
     return out

@@ -104,6 +104,25 @@ class MatrixSystem:
             bb[a] = m
         self._B = bb
 
+    @classmethod
+    def _unchecked(
+        cls,
+        alphabet: Alphabet,
+        dims: Mapping[str, int],
+        H: Mapping[tuple[str, str], np.ndarray],
+        B: Mapping[str, np.ndarray],
+    ) -> "MatrixSystem":
+        """A system derived from a validated one, built without the checks.
+
+        The caller guarantees what ``__init__`` checks: ``H`` holds only
+        nonzero complex matrices of the right shapes at admissible pairs,
+        and every ``B[a]`` is a Hermitian positive semidefinite complex
+        matrix.
+        """
+        out = cls.__new__(cls)
+        out.alphabet, out.dims, out._H, out._B = alphabet, dict(dims), dict(H), dict(B)
+        return out
+
     def H(self, b: str, a: str) -> np.ndarray:
         """Transfer matrix ``V_a -> V_b`` (zero matrix when absent)."""
         m = self._H.get((b, a))

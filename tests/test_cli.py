@@ -65,7 +65,7 @@ def test_decompose(capsys, tmp_path):
     both = direct_sum(make_spherical(), make_spherical(0.3))
     path = tmp_path / "sum.json"
     path.write_text(json.dumps(system_to_json(both)))
-    code, out, _ = run(capsys, "decompose", str(path), "--seed", "1")
+    code, out, _ = run(capsys, "decompose", str(path))
     assert code == 0
     assert out["count"] == 2
     for comp in out["components"]:
