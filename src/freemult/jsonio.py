@@ -2,7 +2,9 @@
 
 Complex numbers are plain numbers when real, ``[re, im]`` pairs
 otherwise; both forms are accepted on input.  Words are strings for
-single-character alphabets and lists of symbols otherwise.
+single-character alphabets and lists of symbols otherwise; as the keys of
+a function's values, which must be strings, the symbols of a list-form
+word are joined by ``|`` (as in the ``b|a`` keys of transfer matrices).
 """
 
 from __future__ import annotations
@@ -128,8 +130,11 @@ def function_from_json(sys: MatrixSystem, d: Any) -> MultiplicativeFunction:
         raise InputError("function must be an object with 'depth' and 'values'")
     if not isinstance(d["values"], dict):
         raise InputError("'values' must map words to vectors")
+    split = any(len(s) != 1 for s in sys.alphabet.letters)
     values = {}
     for wspec, vec in d["values"].items():
+        if split and isinstance(wspec, str):
+            wspec = wspec.split("|")
         w = word_from_json(sys.alphabet, wspec)
         if not isinstance(vec, list):
             raise InputError(f"value at {wspec!r} must be a list")
@@ -141,10 +146,13 @@ def function_to_json(f: MultiplicativeFunction) -> dict:
     vals = {}
     for w in f.support():
         v = f.values[w]
+        key = word_to_json(w)
+        if isinstance(key, list):
+            key = "|".join(key)
         if np.all(v.imag == 0):
-            vals[word_to_json(w)] = [float(x.real) for x in v]
+            vals[key] = [float(x.real) for x in v]
         else:
-            vals[word_to_json(w)] = [[float(x.real), float(x.imag)] for x in v]
+            vals[key] = [[float(x.real), float(x.imag)] for x in v]
     return {"depth": f.depth, "values": vals}
 
 

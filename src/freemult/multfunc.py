@@ -12,41 +12,133 @@ functions at common depth ``D`` is ``sum_{|w| = D} f(w)* B_(last letter)
 g(w)``, conjugate-linear in the first argument; compatibility of the
 system makes it independent of the choice of ``D``.
 
-Propagation is batched: the words of one depth are grouped by their last
-letter with their values stacked as rows, so one depth step costs one
-matrix product per admissible letter pair.  A function carried to another
-system (by a change of generators, a restriction or an induction) is
-multiplicative over that system, so ``sample_then_refine`` samples it on
-the smallest sphere the input determines and propagates from there.
+Storage is the layout propagation works in.  The stored words are grouped
+by last letter; each group is a sorted ``int64`` array of word codes and a
+``(n, dim V_letter)`` complex array of values, one row per code, both
+read-only.  The code of a word reads its letters as base-``2r`` digits,
+each digit the letter's index in the alphabet's file order, so ``code(h s)
+= code(h) (2r)^|s| + code(s)``, the suffix of length ``k`` is the code mod
+``(2r)^k``, and numeric order on one sphere is shortlex order.  A depth
+whose codes would not fit in ``int64`` (``(2r)^N >= 2^63``) raises
+``ResourceLimitError`` before anything is allocated.
+
+The public constructor checks every word and value it is given and packs
+them into arrays; refinement, translation and the transports hand their
+arrays to a private constructor that validates each array once.
+``values`` is a read-only ``Word``-keyed view of the same data, decoded on
+first use (its length needs no decoding); no operation here reads it.
+
+Propagation is batched: one depth step costs one matrix product per
+admissible letter pair, and a child's code is its parent's times ``2r``
+plus the new digit.  A function carried to another system (by a change of
+generators, a restriction or an induction) is multiplicative over that
+system, so ``sample_then_refine`` samples it on the smallest sphere the
+input determines and propagates from there.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
-from .errors import InputError, ResourceLimitError, ValidationError
+from .errors import InputError, InternalCheckError, ResourceLimitError, ValidationError
 from .system import MatrixSystem
-from .words import FiniteSubtree, Word, last_letter, sphere
+from .words import Alphabet, FiniteSubtree, Word, last_letter, sphere
 
 # Refinement depths beyond this fail fast; spheres grow geometrically.
 DEPTH_CAP = 12
 
+_NO_CODES = np.zeros(0, dtype=np.int64)
 
-def _check_depth(depth: int, depth_cap: int | None) -> None:
+
+def _check_codes(alphabet: Alphabet, depth: int) -> None:
+    q = alphabet.size
+    if depth >= 63 or q**depth >= 2**63:
+        raise ResourceLimitError(
+            f"words of length {depth} over {q} letters have codes up to "
+            f"{q}**{depth}, beyond int64"
+        )
+
+
+def _check_depth(alphabet: Alphabet, depth: int, depth_cap: int | None) -> None:
     cap = DEPTH_CAP if depth_cap is None else depth_cap
     if depth > cap:
         raise ResourceLimitError(
             f"requested depth {depth} exceeds the cap {cap}; "
             f"the sphere has on the order of q**{depth} vertices"
         )
+    _check_codes(alphabet, depth)
+
+
+def _encode(alphabet: Alphabet, data: tuple[int, ...]) -> int:
+    """Code of the word with the given signed letters."""
+    q, order = alphabet.size, alphabet._order
+    code = 0
+    for i in data:
+        code = code * q + order[i]
+    return code
+
+
+def _decode(alphabet: Alphabet, depth: int, codes: np.ndarray) -> list[Word]:
+    """The words of length ``depth`` with the given codes."""
+    q = alphabet.size
+    powers = q ** np.arange(depth - 1, -1, -1, dtype=np.int64)
+    digits = codes[:, None] // powers % q
+    ints = np.array(alphabet._file_ints)[digits].tolist()
+    return [Word(alphabet, tuple(row)) for row in ints]
+
+
+def _pack(alphabet: Alphabet, pairs) -> dict:
+    """Group ``(word, vector)`` pairs by last letter into ``(codes, rows)``
+    arrays."""
+    groups: dict[int, tuple[list, list]] = {}
+    for x, v in pairs:
+        codes, rows = groups.setdefault(alphabet._order[x.data[-1]], ([], []))
+        codes.append(_encode(alphabet, x.data))
+        rows.append(v)
+    return {
+        t: (np.array(codes, dtype=np.int64), np.array(rows, dtype=complex))
+        for t, (codes, rows) in groups.items()
+    }
+
+
+class _WordValues(Mapping):
+    """Read-only ``Word``-keyed view of a function's stored values in
+    shortlex order, decoded on first use."""
+
+    __slots__ = ("_alphabet", "_depth", "_groups", "_table")
+
+    def __init__(self, alphabet: Alphabet, depth: int, groups: dict):
+        self._alphabet, self._depth, self._groups = alphabet, depth, groups
+        self._table: dict[Word, np.ndarray] | None = None
+
+    def _words(self) -> dict[Word, np.ndarray]:
+        if self._table is None:
+            pairs = sorted(
+                (c, row)
+                for codes, V in self._groups.values()
+                for c, row in zip(codes.tolist(), V)
+            )
+            codes = np.array([c for c, _ in pairs], dtype=np.int64)
+            words = _decode(self._alphabet, self._depth, codes)
+            self._table = dict(zip(words, (row for _, row in pairs)))
+        return self._table
+
+    def __getitem__(self, x: Word) -> np.ndarray:
+        return self._words()[x]
+
+    def __iter__(self):
+        return iter(self._words())
+
+    def __len__(self) -> int:
+        return sum(len(codes) for codes, _ in self._groups.values())
 
 
 class MultiplicativeFunction:
     """A depth-``N`` multiplicative function over a matrix system."""
 
-    __slots__ = ("system", "depth", "values")
+    __slots__ = ("system", "depth", "_groups", "values")
 
     def __init__(
         self,
@@ -56,12 +148,9 @@ class MultiplicativeFunction:
     ):
         if depth < 1:
             raise InputError("depth must be at least one")
-        self.system = system
-        self.depth = depth
         al, dims = system.alphabet, system.dims
-        vals: dict[Word, np.ndarray] = {}
-        # Checks run once per value, so each takes its cheapest exact form:
-        # count_nonzero costs a quarter of ndarray.any on a short vector.
+        _check_codes(al, depth)
+        checked = []
         for x, v in values.items():
             if x.alphabet != al:
                 raise InputError("support word over a different alphabet")
@@ -75,16 +164,77 @@ class MultiplicativeFunction:
                 raise InputError(
                     f"value at {x} has shape {vec.shape}, expected ({d},)"
                 )
-            if np.count_nonzero(vec):
-                vals[x] = vec
-        self.values = vals
+            checked.append((x, vec))
+        self._store(system, depth, _pack(al, checked))
+
+    @classmethod
+    def _from_layer(
+        cls, system: MatrixSystem, depth: int, layer: dict
+    ) -> "MultiplicativeFunction":
+        """The function with the given ``{last digit: (codes, values)}``
+        arrays, as the package's own producers build them."""
+        _check_codes(system.alphabet, depth)
+        out = cls.__new__(cls)
+        out._store(system, depth, layer)
+        return out
+
+    def _store(self, system: MatrixSystem, depth: int, layer: dict) -> None:
+        """Check each array pair once, drop zero rows, sort by code and
+        store read-only."""
+        al = system.alphabet
+        q, top = al.size, al.size**depth
+        groups = {}
+        for t, (codes, V) in layer.items():
+            d = system.dims[al.letters[t]]
+            if (
+                codes.dtype != np.int64
+                or V.dtype != complex
+                or codes.ndim != 1
+                or V.shape != (len(codes), d)
+            ):
+                raise InternalCheckError(
+                    f"letter {al.letters[t]!r}: codes of shape {codes.shape} "
+                    f"against values of shape {V.shape}, expected (n, {d})"
+                )
+            keep = V.any(axis=1)
+            if not keep.all():
+                codes, V = codes[keep], V[keep]
+            if not len(codes):
+                continue
+            order = np.argsort(codes)
+            codes, V = codes[order], V[order]
+            if (
+                codes[0] < 0
+                or codes[-1] >= top
+                or np.any(codes % q != t)
+                or np.any(codes[1:] == codes[:-1])
+            ):
+                raise InternalCheckError(
+                    f"letter {al.letters[t]!r}: codes are not distinct words "
+                    f"of length {depth} ending in it"
+                )
+            codes.flags.writeable = False
+            V.flags.writeable = False
+            groups[t] = (codes, V)
+        self.system = system
+        self.depth = depth
+        self._groups = groups
+        self.values = _WordValues(al, depth, groups)
+
+    def _group(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Codes and values stored at last digit ``t`` (empty when none)."""
+        g = self._groups.get(t)
+        if g is None:
+            d = self.system.dims[self.alphabet.letters[t]]
+            return _NO_CODES, np.zeros((0, d), dtype=complex)
+        return g
 
     @property
     def alphabet(self):
         return self.system.alphabet
 
     def support(self) -> list[Word]:
-        return sorted(self.values, key=Word.sort_key)
+        return list(self.values)
 
     def __repr__(self) -> str:
         return (
@@ -100,44 +250,42 @@ def shadow(system: MatrixSystem, x: Word, v: np.ndarray) -> MultiplicativeFuncti
     return MultiplicativeFunction(system, len(x), {x: v})
 
 
-def _layer(values: Mapping[Word, np.ndarray]) -> dict:
-    """Group the words of one depth by last letter (as an integer) into
-    ``(word data tuples, values stacked as rows)``."""
-    groups: dict[int, tuple[list, list]] = {}
-    for x, v in values.items():
-        keys, rows = groups.setdefault(x.data[-1], ([], []))
-        keys.append(x.data)
-        rows.append(v)
-    return {t: (keys, np.stack(rows)) for t, (keys, rows) in groups.items()}
-
-
 def _step(sysm: MatrixSystem, layer: dict, allowed=None) -> dict:
-    """Push a layer one letter outward: each word gains every admissible
-    next letter (only those in ``allowed`` when given), its rows times
-    ``H(c, t).T``.  Rows that come out zero are dropped."""
+    """Push a layer one letter outward: each word (code ``p``, last digit
+    ``t``) gains every admissible next digit ``c`` (only those in
+    ``allowed`` when given) as the word of code ``p * 2r + c``, its rows
+    times ``H(c, t).T``.  Rows that come out zero are dropped."""
     al = sysm.alphabet
-    fi = al._from_int
-    letters = al._file_ints if allowed is None else allowed
-    grown: dict[int, tuple[list, list]] = {}
-    for t, (keys, V) in layer.items():
-        for c in letters:
-            if c == -t:
+    letters, order, fi = al.letters, al._order, al._file_ints
+    q = len(letters)
+    nxt = range(q) if allowed is None else allowed
+    grown: dict[int, list] = {}
+    for t, (codes, V) in layer.items():
+        head = codes * q
+        back = order[-fi[t]]
+        for c in nxt:
+            if c == back:
                 continue
-            m = sysm._H.get((fi[c], fi[t]))
+            m = sysm._H.get((letters[c], letters[t]))
             if m is None:
                 continue
             W = V @ m.T
             keep = W.any(axis=1)
-            if not keep.all():
-                W = W[keep]
-                kept = [k for k, ok in zip(keys, keep) if ok]
+            if keep.all():
+                k = head + c
             else:
-                kept = keys
-            if kept:
-                ks, ws = grown.setdefault(c, ([], []))
-                ks.extend(k + (c,) for k in kept)
-                ws.append(W)
-    return {c: (ks, np.concatenate(ws)) for c, (ks, ws) in grown.items()}
+                k, W = head[keep] + c, W[keep]
+            if len(k):
+                grown.setdefault(c, []).append((k, W))
+    return _join(grown)
+
+
+def _join(parts: dict) -> dict:
+    """Concatenate the ``(codes, values)`` pieces collected per digit."""
+    return {
+        t: (np.concatenate([k for k, _ in ps]), np.concatenate([V for _, V in ps]))
+        for t, ps in parts.items()
+    }
 
 
 def refine(
@@ -148,15 +296,11 @@ def refine(
         raise ValidationError("cannot refine to a smaller depth")
     if depth == f.depth:
         return f
-    _check_depth(depth, depth_cap)
-    layer = _layer(f.values)
+    _check_depth(f.alphabet, depth, depth_cap)
+    layer = f._groups
     for _ in range(depth - f.depth):
         layer = _step(f.system, layer)
-    al = f.alphabet
-    values = {
-        Word(al, k): row for keys, V in layer.values() for k, row in zip(keys, V)
-    }
-    return MultiplicativeFunction(f.system, depth, values)
+    return MultiplicativeFunction._from_layer(f.system, depth, layer)
 
 
 def sample_then_refine(
@@ -177,16 +321,18 @@ def sample_then_refine(
     word.  Raises ``ValidationError`` when no depth up to ``depth`` is
     determined.
     """
-    _check_depth(depth, depth_cap)
+    al = system.alphabet
+    _check_depth(al, depth, depth_cap)
     for n in range(1, depth + 1):
-        values: dict[Word, np.ndarray] = {}
-        for w in sphere(system.alphabet, n):
+        samples = []
+        for w in sphere(al, n):
             v = sample(w)
             if v is None:
                 break
-            values[w] = v
+            samples.append((w, v))
         else:
-            return refine(MultiplicativeFunction(system, n, values), depth, depth_cap)
+            f = MultiplicativeFunction._from_layer(system, n, _pack(al, samples))
+            return refine(f, depth, depth_cap)
     raise ValidationError(
         f"output depth {depth} is too small for input depth {input_depth}"
     )
@@ -201,10 +347,12 @@ def evaluate(f: MultiplicativeFunction, y: Word) -> np.ndarray:
             f"value at {y} (length {len(y)}) is not determined at depth {f.depth}"
         )
     al = f.alphabet
-    prefix = y.prefix(f.depth)
-    v = f.values.get(prefix)
-    if v is None:
+    codes, V = f._group(al._order[y.data[f.depth - 1]])
+    code = _encode(al, y.data[: f.depth])
+    i = int(np.searchsorted(codes, code))
+    if i == len(codes) or codes[i] != code:
         return np.zeros(f.system.dims[last_letter(y)], dtype=complex)
+    v = V[i]
     prev = al._from_int[y.data[f.depth - 1]]
     for k in range(f.depth, len(y)):
         cur = al._from_int[y.data[k]]
@@ -217,18 +365,31 @@ def _same_system(f: MultiplicativeFunction, g: MultiplicativeFunction) -> bool:
     return f.system is g.system or f.system.close_to(g.system)
 
 
+def _common(f: MultiplicativeFunction, g: MultiplicativeFunction):
+    """Both functions at their common depth, and per last digit the row
+    indices of the words they both store."""
+    d = max(f.depth, g.depth)
+    fr, gr = refine(f, d), refine(g, d)
+    matches = {}
+    for t in fr._groups.keys() | gr._groups.keys():
+        _, i, j = np.intersect1d(
+            fr._group(t)[0], gr._group(t)[0], assume_unique=True, return_indices=True
+        )
+        matches[t] = (i, j)
+    return fr, gr, matches
+
+
 def inner_product(f: MultiplicativeFunction, g: MultiplicativeFunction) -> complex:
     """Inner product at common depth, conjugate-linear in ``f``."""
     if not _same_system(f, g):
         raise InputError("functions live over different systems")
-    d = max(f.depth, g.depth)
-    fr = refine(f, d)
-    gr = refine(g, d)
+    fr, gr, matches = _common(f, g)
+    letters = f.alphabet.letters
     total = 0.0 + 0.0j
-    for x, v in fr.values.items():
-        w = gr.values.get(x)
-        if w is not None:
-            total += v.conj() @ f.system.B(last_letter(x)) @ w
+    for t, (i, j) in matches.items():
+        if len(i):
+            V, W = fr._group(t)[1][i], gr._group(t)[1][j]
+            total += np.sum((V.conj() @ f.system.B(letters[t])) * W)
     return complex(total)
 
 
@@ -246,41 +407,48 @@ def act(
     letters of ``x^-1`` (its letter ``k`` differs from that of ``x^-1``
     unless ``k = |x|``).  Each shell ``k`` propagates from the supporting
     words along exactly those extensions, and ``z`` is read off as the
-    first ``|x| - k`` letters of ``x`` followed by the rest of ``w``.
+    first ``|x| - k`` letters of ``x`` followed by the rest of ``w``.  The
+    walk tracks the code of ``w`` without its first ``k`` letters (those
+    of ``x^-1``), which stays below ``(2r)^(N + k)``.
     """
     if x.alphabet != f.alphabet:
         raise InputError("word over a different alphabet")
     if len(x) == 0:
         return f
     n, m = f.depth, len(x)
-    _check_depth(n + m, depth_cap)
-    sysm = f.system
     al = f.alphabet
-    u = x.inverse().data
-    out: dict[Word, np.ndarray] = {}
+    _check_depth(al, n + m, depth_cap)
+    sysm = f.system
+    q = al.size
+    xi = x.inverse().data
+    u = [al._order[i] for i in xi]
+    out: dict[int, list] = {}
     for k in range(m + 1):
         lead = min(k, n)
-        seeds = {
-            p: v
-            for p, v in f.values.items()
-            if p.data[:lead] == u[:lead] and (k >= n or k == m or p.data[k] != u[k])
-        }
-        if not seeds:
+        rest = q ** (n - lead)
+        want = _encode(al, xi[:lead])
+        layer = {}
+        for t, (codes, V) in f._groups.items():
+            hit = codes // rest == want
+            if k < min(n, m):
+                hit &= codes // q ** (n - 1 - k) % q != u[k]
+            if hit.any():
+                layer[t] = (codes[hit] % rest, V[hit])
+        if not layer:
             continue
-        layer = _layer(seeds)
         for i in range(n, n + 2 * k):
             if i < k:
-                allowed = (u[i],)
+                # the new letter is letter i of x^-1, so the code stays 0
+                layer = _step(sysm, layer, (u[i],))
+                layer = {c: (codes * 0, V) for c, (codes, V) in layer.items()}
             elif i == k and k < m:
-                allowed = tuple(c for c in al._file_ints if c != u[k])
+                layer = _step(sysm, layer, [c for c in range(q) if c != u[k]])
             else:
-                allowed = None
-            layer = _step(sysm, layer, allowed)
-        head = x.data[: m - k]
-        for keys, V in layer.values():
-            for w, row in zip(keys, V):
-                out[Word(al, head + w[k:])] = row
-    return MultiplicativeFunction(sysm, n + m, out)
+                layer = _step(sysm, layer)
+        head = _encode(al, x.data[: m - k]) * q ** (n + k)
+        for c, (codes, V) in layer.items():
+            out.setdefault(c, []).append((codes + head, V))
+    return MultiplicativeFunction._from_layer(sysm, n + m, _join(out))
 
 
 def norm_via_subtree(f: MultiplicativeFunction, tree: FiniteSubtree) -> float:
@@ -318,16 +486,10 @@ def functions_close(
     """
     if not _same_system(f, g):
         return False
-    d = max(f.depth, g.depth)
-    fr = refine(f, d)
-    gr = refine(g, d)
-    for x in set(fr.values) | set(gr.values):
-        v = fr.values.get(x)
-        w = gr.values.get(x)
-        if v is None:
-            v = np.zeros_like(w)
-        if w is None:
-            w = np.zeros_like(v)
-        if np.linalg.norm(v - w) > tol:
-            return False
+    fr, gr, matches = _common(f, g)
+    for t, (i, j) in matches.items():
+        V, W = fr._group(t)[1], gr._group(t)[1]
+        for gap in (V[i] - W[j], np.delete(V, i, axis=0), np.delete(W, j, axis=0)):
+            if len(gap) and np.linalg.norm(gap, axis=1).max() > tol:
+                return False
     return True

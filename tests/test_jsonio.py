@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,8 +22,9 @@ from freemult.jsonio import (
     word_from_json,
     word_to_json,
 )
-from freemult.multfunc import MultiplicativeFunction, functions_close
+from freemult.multfunc import MultiplicativeFunction, act
 from freemult.subgroup import schreier_subtree
+from freemult.transport import restrict_function, restrict_system
 from freemult.words import Alphabet, last_letter, sphere
 
 from .conftest import AB, make_spherical
@@ -137,17 +140,27 @@ def test_system_errors():
         system_from_json(broken)
 
 
-def test_function_round_trip(rng):
+def assert_exact_round_trip(sys, f):
+    spec = function_to_json(f)
+    assert spec["depth"] == f.depth
+    assert all(isinstance(v[0], list) for v in spec["values"].values())
+    text = json.loads(json.dumps(spec))
+    assert function_to_json(function_from_json(sys, text)) == spec
+
+
+def test_function_round_trip(rng, index3_automaton):
     sys = make_spherical(0.3)
     values = {
         y: rng.standard_normal(1) + 1j * rng.standard_normal(1)
         for y in sphere(AB, 2)
     }
     f = MultiplicativeFunction(sys, 2, values)
-    spec = function_to_json(f)
-    assert spec["depth"] == 2
-    back = function_from_json(sys, spec)
-    assert functions_close(back, f, tol=1e-12)
+    assert_exact_round_trip(sys, f)
+    assert_exact_round_trip(sys, act(AB.word("abA"), f))
+    fs = schreier_subtree(index3_automaton)
+    restricted = restrict_system(fs, sys)
+    rf = restrict_function(fs, sys, f, restricted=restricted, depth=3)
+    assert_exact_round_trip(restricted, rf)
 
 
 def test_function_real_values_stay_plain(spherical):

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freemult import (
+    Alphabet,
+    InputError,
     MatrixSystem,
     MultiplicativeFunction,
     ResourceLimitError,
@@ -48,6 +50,22 @@ def random_function(rng, sys, depth):
         d = sys.dims[x.letters()[-1]]
         values[x] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return MultiplicativeFunction(sys, depth, values)
+
+
+def test_constructor_checks(spherical):
+    a, b = AB.word("a"), AB.word("b")
+    with pytest.raises(InputError):
+        MultiplicativeFunction(spherical, 0, {})
+    with pytest.raises(InputError):
+        MultiplicativeFunction(spherical, 1, {Alphabet("aAbBcC").word("a"): [1.0]})
+    with pytest.raises(InputError):
+        MultiplicativeFunction(spherical, 1, {AB.word("ab"): [1.0]})
+    with pytest.raises(InputError):
+        MultiplicativeFunction(spherical, 1, {a: [1.0, 2.0]})
+    f = MultiplicativeFunction(spherical, 1, {a: [0.0], b: [2.0]})
+    assert f.support() == [b]
+    assert len(f.values) == 1
+    assert evaluate(f, a)[0] == 0
 
 
 def test_shadow_support(spherical):
