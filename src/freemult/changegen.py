@@ -31,7 +31,7 @@ from .errors import (
 )
 from .multfunc import MultiplicativeFunction, evaluate, sample_then_refine
 from .subgroup import automaton_from_generators
-from .system import MatrixSystem, compatibility_defect
+from .system import MatrixSystem, _blockdiag, _check_compatibility_kept
 from .words import Alphabet, FiniteSubtree, Word, drop_last, last_letter
 from . import _kernel_py as _k
 
@@ -435,37 +435,21 @@ def transport_system(
     al = gm.target
     fronts = {a: compute_Y(gm, al.word([a])) for a in al.letters}
 
-    block_dims: dict[str, list[int]] = {}
-    offsets: dict[str, dict[Word, int]] = {}
-    dims: dict[str, int] = {}
-    for a in al.letters:
-        offs: dict[Word, int] = {}
-        pos = 0
-        sizes = []
-        for y in fronts[a].members:
-            offs[y] = pos
-            d = sys.dims[last_letter(y)]
-            sizes.append(d)
-            pos += d
-        block_dims[a] = sizes
-        offsets[a] = offs
-        dims[a] = pos
-
-    B = {}
-    for a in al.letters:
-        m = np.zeros((dims[a], dims[a]), dtype=complex)
-        for y in fronts[a].members:
-            o = offsets[a][y]
-            d = sys.dims[last_letter(y)]
-            m[o : o + d, o : o + d] = sys.B(last_letter(y))
-        B[a] = m
-
-    H = {}
+    # Each member's block starts at its offset in the output's block layout.
+    members = [(a, y) for a in al.letters for y in fronts[a].members]
+    offsets: dict[str, dict[Word, int]] = {a: {} for a in al.letters}
+    dims = {a: 0 for a in al.letters}
+    pos = 0
+    for a, y in members:
+        offsets[a][y] = pos
+        pos += sys.dims[last_letter(y)]
+        dims[a] += sys.dims[last_letter(y)]
+    B = _blockdiag([sys.B(last_letter(y)) for _, y in members])
+    H = np.zeros((pos, pos), dtype=complex)
     for a in al.letters:
         for b in al.letters:
             if b == al.inverse(a):
                 continue
-            mat = np.zeros((dims[b], dims[a]), dtype=complex)
             for zrow in fronts[b].members:
                 g = al.word([a]) * gm.expand(zrow)
                 member, suffix = _frontier_projection(gm, fronts[a], g)
@@ -479,7 +463,7 @@ def transport_system(
                         raise InternalCheckError(
                             "empty-suffix block with mismatched value spaces"
                         )
-                    mat[o_r : o_r + d_r, o_c : o_c + d_c] = np.eye(d_r)
+                    H[o_r : o_r + d_r, o_c : o_c + d_c] = np.eye(d_r)
                 else:
                     prev = last_letter(member)
                     block = np.eye(sys.dims[prev], dtype=complex)
@@ -491,17 +475,10 @@ def transport_system(
                         raise InternalCheckError(
                             "propagation block with mismatched value spaces"
                         )
-                    mat[o_r : o_r + d_r, o_c : o_c + d_c] = block
-            if np.any(mat):
-                H[(b, a)] = mat
+                    H[o_r : o_r + d_r, o_c : o_c + d_c] = block
 
-    out = MatrixSystem(al, dims, H, B)
-    if compatibility_defect(sys) <= tol:
-        d = compatibility_defect(out)
-        if d > max(tol, 1e-8) * 10:
-            raise InternalCheckError(
-                f"transport broke compatibility: defect {d:.3e}"
-            )
+    out = MatrixSystem._from_blocks(al, dims, H, B)
+    _check_compatibility_kept(sys, out, tol, "transport")
     return out
 
 

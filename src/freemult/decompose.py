@@ -15,11 +15,11 @@ smallest nonzero dimension, a system is irreducible exactly when the
 closure of ``V_a`` and the closure of ``V_a`` in the dual system are
 everything and the loop algebra ``M_a`` (the span of the path products
 from ``a`` back to ``a``) is all of ``End(V_a)`` — a Burnside/density
-certificate, computed as a closure in an auxiliary system on the spaces
-``Hom(V_a, V_c)``.  When ``M_a`` is smaller, Norton's test from the MeatAxe
-(Holt and Rees, 1994) spins one eigenvector per eigenvalue of a fixed
-generic element of ``M_a`` and of its adjoint to find a proper invariant
-subsystem.  Every step is deterministic.
+certificate, computed as a closure of the identity among the maps
+``V_a -> V_c`` by block products with ``H``.  When ``M_a`` is smaller,
+Norton's test from the MeatAxe (Holt and Rees, 1994) spins one eigenvector
+per eigenvalue of a fixed generic element of ``M_a`` and of its adjoint to
+find a proper invariant subsystem.  Every step is deterministic.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .system import (
     MatrixSystem,
     Subsystem,
     SystemMap,
+    _compressed,
     apply_transfer,
     compatibility_defect,
     invariance_defect,
@@ -82,13 +83,12 @@ def strip_null_directions(
     nulls = Subsystem(
         sys.alphabet, {a: null_space(sys.B(a)) for a in sys.alphabet.letters}
     )
-    defect = invariance_defect(sys, nulls)
-    if defect > _INV_TOL:
+    try:
+        stripped, _ = quotient_system(sys, nulls, tol=_INV_TOL)
+    except ValidationError as exc:
         raise InternalCheckError(
-            f"form kernels of a compatible system must be invariant; "
-            f"defect {defect:.3e}"
-        )
-    stripped, _ = quotient_system(sys, nulls, tol=_INV_TOL)
+            f"form kernels of a compatible system must be invariant; {exc}"
+        ) from exc
     return stripped, nulls
 
 
@@ -114,24 +114,49 @@ def closure_subsystem(
             if s.shape[0] != sys.dims[a]:
                 raise InputError(f"seed at {a!r} has wrong dimension")
             basis[a] = orthonormal_columns(s)
-    into: dict[str, list[tuple[str, np.ndarray]]] = {b: [] for b in basis}
-    for (b, a), m in sys._H.items():
-        into[b].append((a, m))
+    return Subsystem(sys.alphabet, _closure(sys, basis, 1))
+
+
+def _closure(
+    sys: MatrixSystem, basis: dict[str, np.ndarray], width: int
+) -> dict[str, np.ndarray]:
+    """Grow letterwise spans of ``(dims[c], width)`` blocks ``X_c`` to the
+    smallest family closed under ``X_b -> H(c,b) X_b``.
+
+    ``basis[c]`` holds the row-major ``vec(X)`` of an orthonormal basis as
+    columns.  A sweep applies ``H`` to every basis element at once, its
+    blocks stacked side by side in its letter's rows, and grows the span at
+    every letter that is not yet full by the rows of that letter; it stops
+    when a sweep adds nothing.
+    """
+    letters, dims, rows = sys.alphabet.letters, sys.dims, sys._slices
     changed = True
     while changed:
         changed = False
-        for b, sources in into.items():
-            k = basis[b].shape[1]
-            if k == sys.dims[b]:
+        k = sum(basis[c].shape[1] for c in letters)
+        images = np.hstack(
+            [
+                sys._H[:, rows[c]] @ _side_by_side(basis[c], dims[c], width)
+                for c in letters
+            ]
+        ).reshape(sys.total_dim, k, width)
+        for c in letters:
+            kc = basis[c].shape[1]
+            if kc == dims[c] * width:
                 continue
-            images = [m @ basis[a] for a, m in sources if basis[a].shape[1]]
-            if not images:
-                continue
-            q = orthonormal_columns(np.hstack([basis[b], *images]))
-            if q.shape[1] > k:
-                basis[b] = q
+            img = images[rows[c]].transpose(0, 2, 1).reshape(dims[c] * width, k)
+            q = orthonormal_columns(np.hstack([basis[c], img]))
+            if q.shape[1] > kc:
+                basis[c] = q
                 changed = True
-    return Subsystem(sys.alphabet, basis)
+    return basis
+
+
+def _side_by_side(vecs: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """The ``(rows, width)`` blocks whose row-major vecs are the columns of
+    ``vecs``, placed side by side."""
+    k = vecs.shape[1]
+    return vecs.reshape(rows, width, k).transpose(0, 2, 1).reshape(rows, k * width)
 
 
 def _dual_system(sys: MatrixSystem) -> MatrixSystem:
@@ -140,9 +165,9 @@ def _dual_system(sys: MatrixSystem) -> MatrixSystem:
     A subsystem is invariant for the dual exactly when its letterwise
     orthogonal complement is invariant for the original.
     """
-    H = {(a, b): m.conj().T for (b, a), m in sys._H.items()}
-    B = {a: np.eye(sys.dims[a], dtype=complex) for a in sys.alphabet.letters}
-    return MatrixSystem._unchecked(sys.alphabet, sys.dims, H, B)
+    return MatrixSystem._unchecked(
+        sys.alphabet, sys.dims, sys._H.conj().T, np.eye(sys.total_dim, dtype=complex)
+    )
 
 
 def _annihilator(sub: Subsystem, sys: MatrixSystem) -> Subsystem:
@@ -165,21 +190,14 @@ def _loop_algebra(sys: MatrixSystem, a: str) -> np.ndarray:
     """Orthonormal basis ``(k, d_a, d_a)`` of the loop algebra at ``a``.
 
     The span of the path products from ``a`` back to ``a``, the identity
-    included, is the closure of ``vec(I)`` at ``a`` in the auxiliary system
-    with spaces ``Hom(V_a, V_c)`` and transfers ``X -> H(c,b) X``, which act
-    on column-major ``vec(X)`` as ``kron(I_{d_a}, H(c,b))``.
+    included, is the closure of the identity at ``a`` among the letterwise
+    spans of maps ``X_c : V_a -> V_c`` under ``X_b -> H(c,b) X_b``.
     """
     d = sys.dims[a]
-    eye = np.eye(d, dtype=complex)
-    aux = MatrixSystem._unchecked(
-        sys.alphabet,
-        {c: d * n for c, n in sys.dims.items()},
-        {pair: np.kron(eye, m) for pair, m in sys._H.items()},
-        {c: np.eye(d * n, dtype=complex) for c, n in sys.dims.items()},
-    )
-    span = closure_subsystem(aux, {a: eye.reshape(-1, 1)}).basis[a]
-    # column k is vec(M_k) in column-major order
-    return span.T.reshape(-1, d, d).transpose(0, 2, 1)
+    seeds = {c: np.zeros((n * d, 0), dtype=complex) for c, n in sys.dims.items()}
+    seeds[a] = np.eye(d, dtype=complex).reshape(-1, 1)
+    # column k is the row-major vec(M_k)
+    return _closure(sys, seeds, d)[a].T.reshape(-1, d, d)
 
 
 def _spin(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -267,9 +285,10 @@ def maximal_invariant(sys: MatrixSystem) -> Subsystem:
 
 def _maximal_containing(
     sys: MatrixSystem, first: Subsystem
-) -> tuple[Subsystem, MatrixSystem]:
+) -> tuple[Subsystem, MatrixSystem, SystemMap]:
     """A maximal proper invariant subsystem containing the proper invariant
-    subsystem ``first``, and the (certified irreducible) quotient by it.
+    subsystem ``first``, the (certified irreducible) quotient by it and the
+    projection onto the quotient.
 
     Maintains a nonzero dual-invariant subsystem, repeatedly replacing it
     by a strictly smaller one as long as the quotient by its annihilator
@@ -278,28 +297,23 @@ def _maximal_containing(
     z = _annihilator(first, sys)  # dual-invariant, nonzero since first is proper
     while True:
         w = _annihilator(z, sys)
-        defect = invariance_defect(sys, w)
-        if defect > _INV_TOL:
+        try:
+            quot, proj = quotient_system(sys, w, tol=_INV_TOL)
+        except ValidationError as exc:
             raise InternalCheckError(
-                f"annihilator of a dual-invariant subsystem must be invariant; "
-                f"defect {defect:.3e}"
-            )
-        quot, _ = quotient_system(sys, w, tol=_INV_TOL)
+                f"annihilator of a dual-invariant subsystem must be invariant; {exc}"
+            ) from exc
         if quot.total_dim == 0:
             raise InternalCheckError("maximal invariant search reached a full chain")
         finer = find_proper_invariant(quot)
         if finer is None:
-            return w, quot
+            return w, quot, proj
         # Pull the quotient's invariant subsystem back to the ambient space
         # and shrink the dual-invariant subsystem accordingly.
-        comp = {
-            a: orthogonal_complement(w.basis[a], sys.dims[a])
-            for a in sys.alphabet.letters
-        }
         pre = Subsystem.from_spanning(
             sys.alphabet,
             {
-                a: np.hstack([w.basis[a], comp[a] @ finer.basis[a]])
+                a: np.hstack([w.basis[a], proj[a].conj().T @ finer.basis[a]])
                 for a in sys.alphabet.letters
             },
         )
@@ -312,18 +326,18 @@ def _maximal_containing(
 def _split_off_component(
     sys: MatrixSystem,
     w: Subsystem,
-    quot: MatrixSystem,
+    proj: SystemMap,
     forms_t: dict[str, np.ndarray],
 ) -> tuple[MatrixSystem, SystemMap, MatrixSystem, SystemMap]:
     """Split ``sys`` (strictly positive forms, unit quotient radius) into the
-    irreducible summand carried by the kernel complement and the rest.
+    irreducible summand carried by the kernel complement and the rest;
+    ``proj`` projects onto the quotient by ``w``.
 
     Returns ``(component, its embedding, remainder on w, its embedding)``.
     """
     al = sys.alphabet
-    comp_basis = {a: orthogonal_complement(w.basis[a], sys.dims[a]) for a in al.letters}
     # Pull the quotient eigentuple back through the projection.
-    bt = {a: comp_basis[a] @ forms_t[a] @ comp_basis[a].conj().T for a in al.letters}
+    bt = {a: proj[a].conj().T @ forms_t[a] @ proj[a] for a in al.letters}
     img = apply_transfer(sys, bt)
     scale_bt = max(
         (float(np.linalg.norm(x, 2)) for x in bt.values() if x.size), default=0.0
@@ -373,7 +387,7 @@ def _split_off_component(
             )
         w0[a] = vecs[:, np.abs(evals) <= cut]
     w0_sub = Subsystem(al, w0)
-    expected = {a: quot.dims[a] for a in al.letters}
+    expected = {a: proj[a].shape[0] for a in al.letters}
     if w0_sub.dims() != expected:
         raise InternalCheckError(
             f"kernel dimensions {w0_sub.dims()} do not match the quotient "
@@ -385,32 +399,23 @@ def _split_off_component(
             f"splitting kernel must be invariant; defect {defect:.3e}"
         )
 
-    comp_H = {
-        (b, a): w0[b].conj().T @ m @ w0[a] for (b, a), m in sys._H.items()
-    }
-    comp_B = {a: lam0 * (w0[a].conj().T @ bt[a] @ w0[a]) for a in al.letters}
     # The residual form vanishes on the kernel, so the restricted ambient
     # form must agree with the restricted pullback.
     for a in al.letters:
         direct = w0[a].conj().T @ sys.B(a) @ w0[a]
-        if direct.size and np.linalg.norm(direct - comp_B[a], 2) > _ROUTE_RTOL * max(
+        pulled = lam0 * (w0[a].conj().T @ bt[a] @ w0[a])
+        if direct.size and np.linalg.norm(direct - pulled, 2) > _ROUTE_RTOL * max(
             1.0, float(np.linalg.norm(sys.B(a), 2))
         ):
             raise InternalCheckError(
                 f"restricted forms disagree between the two routes at {a!r}"
             )
-    component = MatrixSystem(al, dict(expected), comp_H, comp_B)
+    component = _compressed(sys, w0, {a: lam0 * bt[a] for a in al.letters})
     comp_embed = SystemMap(al, w0)
 
-    rest_H = {
-        (b, a): w.basis[b].conj().T @ m @ w.basis[a]
-        for (b, a), m in sys._H.items()
-    }
-    rest_B = {
-        a: w.basis[a].conj().T @ (sys.B(a) - lam0 * bt[a]) @ w.basis[a]
-        for a in al.letters
-    }
-    rest = MatrixSystem(al, w.dims(), rest_H, rest_B)
+    rest = _compressed(
+        sys, w.basis, {a: sys.B(a) - lam0 * bt[a] for a in al.letters}
+    )
     rest_embed = SystemMap(al, dict(w.basis))
     return component, comp_embed, rest, rest_embed
 
@@ -426,7 +431,7 @@ def _decompose_rec(
     if first is None:
         out.append((sys, embed))
         return
-    w, quot = _maximal_containing(sys, first)
+    w, quot, proj = _maximal_containing(sys, first)
     rho_t, forms_t = pf_eigenpair(quot)
     if rho_t > 1.0 + _RHO_CEILING:
         raise InternalCheckError(
@@ -435,7 +440,7 @@ def _decompose_rec(
         )
     if rho_t >= 1.0 - _RHO_BAND:
         component, comp_embed, rest, rest_embed = _split_off_component(
-            sys, w, quot, forms_t
+            sys, w, proj, forms_t
         )
         out.append((component, embed.compose(comp_embed)))
     else:
@@ -472,7 +477,8 @@ def decompose(
     _decompose_rec(stripped, base, out)
 
     h_scale = max(
-        (float(np.linalg.norm(m, 2)) for m in sys._H.values()), default=1.0
+        (float(np.linalg.norm(sys.H(b, a), 2)) for b, a in sys.stored_pairs()),
+        default=1.0,
     )
     for comp, emb in out:
         cd = compatibility_defect(comp)

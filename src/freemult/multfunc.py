@@ -259,6 +259,7 @@ def _step(sysm: MatrixSystem, layer: dict, allowed=None) -> dict:
     letters, order, fi = al.letters, al._order, al._file_ints
     q = len(letters)
     nxt = range(q) if allowed is None else allowed
+    stored = sysm.stored_pairs()
     grown: dict[int, list] = {}
     for t, (codes, V) in layer.items():
         head = codes * q
@@ -266,9 +267,9 @@ def _step(sysm: MatrixSystem, layer: dict, allowed=None) -> dict:
         for c in nxt:
             if c == back:
                 continue
-            m = sysm._H.get((letters[c], letters[t]))
-            if m is None:
+            if (letters[c], letters[t]) not in stored:
                 continue
+            m = sysm.H(letters[c], letters[t])
             W = V @ m.T
             keep = W.any(axis=1)
             if keep.all():

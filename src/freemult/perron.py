@@ -120,7 +120,8 @@ def transfer_matrix(sys: MatrixSystem) -> tuple[np.ndarray, _HermitianLayout]:
     """The transfer operator as a dense real matrix in Hermitian coordinates."""
     layout = _HermitianLayout(sys)
     m = np.zeros((layout.size, layout.size))
-    for (b, a), h in sys._H.items():
+    for b, a in sys.stored_pairs():
+        h = sys.H(b, a)
         # vec(H* X H) = kron(H*, H^T) vec(X) on row-major vectorizations.
         k = np.kron(h.conj().T, h.T)
         db, da = sys.dims[b], sys.dims[a]

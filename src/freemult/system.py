@@ -11,11 +11,20 @@ the worst deviation in spectral norm.
 
 Forms follow the convention that the pairing is conjugate-linear in the
 first argument: ``<v, w>_a = v* B_a w``.
+
+Block layout.  Each letter owns one coordinate range of ``C^total_dim``,
+in alphabet order.  ``H`` is stored as one read-only square matrix with
+``H[b, a]`` at the rows of ``b`` and the columns of ``a`` (zero blocks at
+inverse and absent pairs), ``B`` as one read-only block-diagonal matrix, and
+``H(b, a)`` and ``B(a)`` are views of their blocks.  A letterwise family (a
+form tuple, subspace bases, a ``SystemMap``) is a block-diagonal matrix, so
+a transfer step is the diagonal of ``H* X H`` and restriction, quotient and
+conjugation are one compression ``Q* H Q``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,6 +57,40 @@ def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(w[0] >= -tol * scale)
 
 
+def _checked_form(m: np.ndarray, a: str) -> np.ndarray:
+    """The Hermitian part of a form, after checking it is Hermitian and
+    positive semidefinite."""
+    if m.size and np.linalg.norm(m - m.conj().T, 2) > 1e-12 * max(
+        1.0, np.linalg.norm(m, 2)
+    ):
+        raise ValidationError(f"B[{a!r}] is not Hermitian")
+    m = _hermitian_part(m)
+    if not is_psd(m):
+        raise ValidationError(f"B[{a!r}] is not positive semidefinite")
+    return m
+
+
+def _layout(alphabet: Alphabet, dims: Mapping[str, int]) -> dict[str, slice]:
+    """Coordinate range of each letter's space, in alphabet order."""
+    out, pos = {}, 0
+    for a in alphabet.letters:
+        out[a] = slice(pos, pos + dims[a])
+        pos += dims[a]
+    return out
+
+
+def _blockdiag(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Block-diagonal matrix of possibly rectangular blocks."""
+    rows = sum(m.shape[0] for m in blocks)
+    cols = sum(m.shape[1] for m in blocks)
+    out = np.zeros((rows, cols), dtype=complex)
+    r = c = 0
+    for m in blocks:
+        out[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return out
+
+
 class MatrixSystem:
     """Immutable container for ``(dims, H, B)`` over a symmetric alphabet.
 
@@ -56,7 +99,7 @@ class MatrixSystem:
     empty.
     """
 
-    __slots__ = ("alphabet", "dims", "_H", "_B")
+    __slots__ = ("alphabet", "dims", "_H", "_B", "_slices", "_stored")
 
     def __init__(
         self,
@@ -65,73 +108,88 @@ class MatrixSystem:
         H: Mapping[tuple[str, str], np.ndarray],
         B: Mapping[str, np.ndarray],
     ):
-        self.alphabet = alphabet
         if set(dims) != set(alphabet.letters):
             raise InputError("dims must assign every letter a dimension")
         for a, d in dims.items():
             if not isinstance(d, int) or d < 0:
                 raise InputError(f"dims[{a!r}] must be a nonnegative integer")
-        self.dims = dict(dims)
+        sl = _layout(alphabet, dims)
+        n = sum(dims.values())
 
-        h: dict[tuple[str, str], np.ndarray] = {}
+        h = np.zeros((n, n), dtype=complex)
         for (b, a), m in H.items():
             if a not in alphabet or b not in alphabet:
                 raise InputError(f"H[{b!r}, {a!r}]: unknown letter")
-            if b == alphabet.inverse(a):
-                mm = _as_matrix(m, dims[b], dims[a], f"H[{b!r}, {a!r}]")
-                if np.any(mm != 0):
-                    raise ValidationError(
-                        f"H[{b!r}, {a!r}] must vanish: the pair composes to the identity"
-                    )
-                continue
             mm = _as_matrix(m, dims[b], dims[a], f"H[{b!r}, {a!r}]")
-            if np.any(mm != 0):
-                h[(b, a)] = mm
-        self._H = h
-
-        bb: dict[str, np.ndarray] = {}
+            if b == alphabet.inverse(a) and np.any(mm != 0):
+                raise ValidationError(
+                    f"H[{b!r}, {a!r}] must vanish: the pair composes to the identity"
+                )
+            h[sl[b], sl[a]] = mm
+        forms = np.zeros((n, n), dtype=complex)
         for a in alphabet.letters:
             if a not in B:
                 raise InputError(f"B[{a!r}] missing")
             m = _as_matrix(B[a], dims[a], dims[a], f"B[{a!r}]")
-            if m.size and np.linalg.norm(m - m.conj().T, 2) > 1e-12 * max(
-                1.0, np.linalg.norm(m, 2)
-            ):
-                raise ValidationError(f"B[{a!r}] is not Hermitian")
-            m = _hermitian_part(m)
-            if not is_psd(m):
-                raise ValidationError(f"B[{a!r}] is not positive semidefinite")
-            bb[a] = m
-        self._B = bb
+            forms[sl[a], sl[a]] = _checked_form(m, a)
+        self._set(alphabet, dims, h, forms)
+
+    def _set(
+        self, alphabet: Alphabet, dims: Mapping[str, int], H: np.ndarray, B: np.ndarray
+    ) -> None:
+        self.alphabet, self.dims = alphabet, dict(dims)
+        self._slices = sl = _layout(alphabet, dims)
+        H.flags.writeable = False
+        B.flags.writeable = False
+        self._H, self._B = H, B
+        letters = alphabet.letters
+        self._stored = dict.fromkeys(
+            (b, a) for a in letters for b in letters if H[sl[b], sl[a]].any()
+        )
 
     @classmethod
     def _unchecked(
         cls,
         alphabet: Alphabet,
         dims: Mapping[str, int],
-        H: Mapping[tuple[str, str], np.ndarray],
-        B: Mapping[str, np.ndarray],
+        H: np.ndarray,
+        B: np.ndarray,
     ) -> "MatrixSystem":
-        """A system derived from a validated one, built without the checks.
+        """A system derived from a validated one, built from its block
+        matrices without the checks.
 
-        The caller guarantees what ``__init__`` checks: ``H`` holds only
-        nonzero complex matrices of the right shapes at admissible pairs,
-        and every ``B[a]`` is a Hermitian positive semidefinite complex
-        matrix.
+        The caller guarantees what ``__init__`` checks: ``H`` is a complex
+        matrix in the block layout of ``dims`` with zero blocks at inverse
+        pairs, and ``B`` is block diagonal with Hermitian positive
+        semidefinite complex blocks.  Both arrays are kept, made read-only.
         """
         out = cls.__new__(cls)
-        out.alphabet, out.dims, out._H, out._B = alphabet, dict(dims), dict(H), dict(B)
+        out._set(alphabet, dims, H, B)
         return out
 
+    @classmethod
+    def _from_blocks(
+        cls,
+        alphabet: Alphabet,
+        dims: Mapping[str, int],
+        H: np.ndarray,
+        B: np.ndarray,
+    ) -> "MatrixSystem":
+        """:meth:`_unchecked` after the form checks of ``__init__``; the
+        caller guarantees the rest."""
+        B = np.array(B, dtype=complex)
+        for a, s in _layout(alphabet, dims).items():
+            B[s, s] = _checked_form(B[s, s], a)
+        return cls._unchecked(alphabet, dims, H, B)
+
     def H(self, b: str, a: str) -> np.ndarray:
-        """Transfer matrix ``V_a -> V_b`` (zero matrix when absent)."""
-        m = self._H.get((b, a))
-        if m is None:
-            return np.zeros((self.dims[b], self.dims[a]), dtype=complex)
-        return m
+        """Transfer matrix ``V_a -> V_b`` (a read-only view; zero when
+        absent)."""
+        return self._H[self._slices[b], self._slices[a]]
 
     def B(self, a: str) -> np.ndarray:
-        return self._B[a]
+        s = self._slices[a]
+        return self._B[s, s]
 
     def pairs(self) -> Iterable[tuple[str, str]]:
         """All admissible ordered pairs ``(target, source)``."""
@@ -142,33 +200,31 @@ class MatrixSystem:
                     yield (b, a)
 
     def stored_pairs(self) -> Iterable[tuple[str, str]]:
-        return self._H.keys()
+        """The pairs with a nonzero transfer matrix, in the order of
+        :meth:`pairs`."""
+        return self._stored.keys()
 
     @property
     def total_dim(self) -> int:
-        return sum(self.dims.values())
+        return self._H.shape[0]
 
     def scale_H(self, factor: complex) -> "MatrixSystem":
-        return MatrixSystem(
-            self.alphabet,
-            self.dims,
-            {k: factor * m for k, m in self._H.items()},
-            self._B,
+        return MatrixSystem._from_blocks(
+            self.alphabet, self.dims, factor * self._H, self._B
         )
 
     def with_forms(self, B: Mapping[str, np.ndarray]) -> "MatrixSystem":
-        return MatrixSystem(self.alphabet, self.dims, self._H, B)
+        H = {(b, a): self.H(b, a) for b, a in self._stored}
+        return MatrixSystem(self.alphabet, self.dims, H, B)
 
     def close_to(self, other: "MatrixSystem", tol: float = 1e-9) -> bool:
         if self.alphabet != other.alphabet or self.dims != other.dims:
             return False
-        for b, a in self.pairs():
-            if np.linalg.norm(self.H(b, a) - other.H(b, a)) > tol:
-                return False
-        return all(
-            np.linalg.norm(self.B(a) - other.B(a)) <= tol
-            for a in self.alphabet.letters
-        )
+        sl = self._slices
+        dh, db = self._H - other._H, self._B - other._B
+        if any(np.linalg.norm(dh[sl[b], sl[a]]) > tol for b, a in self.pairs()):
+            return False
+        return all(np.linalg.norm(db[s, s]) <= tol for s in sl.values())
 
     def __repr__(self) -> str:
         d = ", ".join(f"{a}:{self.dims[a]}" for a in self.alphabet.letters)
@@ -180,13 +236,9 @@ def apply_transfer(
 ) -> dict[str, np.ndarray]:
     """One transfer step ``(X_a)_a -> (sum_b H(b,a)* X_b H(b,a))_a``: pull
     each form back along the outgoing matrices."""
-    out = {
-        a: np.zeros((sys.dims[a], sys.dims[a]), dtype=complex)
-        for a in sys.alphabet.letters
-    }
-    for (b, a), m in sys._H.items():
-        out[a] += m.conj().T @ np.asarray(forms[b], dtype=complex) @ m
-    return out
+    x = _blockdiag([forms[a] for a in sys.alphabet.letters])
+    img = sys._H.conj().T @ x @ sys._H
+    return {a: img[s, s] for a, s in sys._slices.items()}
 
 
 def compatibility_defect(sys: MatrixSystem) -> float:
@@ -195,15 +247,25 @@ def compatibility_defect(sys: MatrixSystem) -> float:
     ``max_a || B_a - sum_b H(b,a)* B_b H(b,a) ||_2``; zero exactly when the
     forms reproduce themselves under one transfer step.
     """
-    img = apply_transfer(sys, sys._B)
+    gap = sys._B - sys._H.conj().T @ sys._B @ sys._H
     return max(
         (
-            float(np.linalg.norm(sys.B(a) - img[a], 2))
-            for a in sys.alphabet.letters
+            float(np.linalg.norm(gap[s, s], 2))
+            for a, s in sys._slices.items()
             if sys.dims[a]
         ),
         default=0.0,
     )
+
+
+def _check_compatibility_kept(
+    source: MatrixSystem, out: MatrixSystem, tol: float, what: str
+) -> None:
+    """Raise when ``out`` is incompatible although ``source`` is compatible
+    within ``tol``.  The source is only measured when the output fails."""
+    d = compatibility_defect(out)
+    if d > max(tol, 1e-8) * 10 and compatibility_defect(source) <= tol:
+        raise InternalCheckError(f"{what} broke compatibility: defect {d:.3e}")
 
 
 class Subsystem:
@@ -300,17 +362,44 @@ def is_invariant_subsystem(
 
 
 def invariance_defect(sys: MatrixSystem, sub: Subsystem) -> float:
+    """Worst ``|| (1 - P_b) H(b,a) W_a ||_2 / max(1, ||H(b,a)||_2)`` over
+    the stored pairs, for the subspace bases ``W`` and the orthogonal
+    projections ``P`` onto them."""
+    w = _blockdiag([sub.basis[a] for a in sys.alphabet.letters])
+    img = sys._H @ w
+    resid = img - w @ (w.conj().T @ img)
+    rows, cols = sys._slices, _layout(sys.alphabet, sub.dims())
     worst = 0.0
-    for (b, a), m in sys._H.items():
-        w = sub.basis[a]
-        if w.shape[1] == 0 or m.shape[0] == 0:
-            continue
-        img = m @ w
-        q = sub.basis[b]
-        resid = img - q @ (q.conj().T @ img)
-        scale = max(1.0, float(np.linalg.norm(m, 2)))
-        worst = max(worst, float(np.linalg.norm(resid, 2)) / scale)
+    for b, a in sys.stored_pairs():
+        r = resid[rows[b], cols[a]]
+        if r.size:
+            scale = max(1.0, float(np.linalg.norm(sys.H(b, a), 2)))
+            worst = max(worst, float(np.linalg.norm(r, 2)) / scale)
     return worst
+
+
+def _compressed(
+    sys: MatrixSystem,
+    basis: Mapping[str, np.ndarray],
+    forms: Mapping[str, np.ndarray] | None = None,
+) -> MatrixSystem:
+    """The system ``Q* H Q`` with forms ``Q* B Q`` for the block-diagonal
+    ``Q`` of letterwise column bases; ``forms`` replaces the system's own
+    forms before the compression."""
+    letters = sys.alphabet.letters
+    q = _blockdiag([basis[a] for a in letters])
+    f = sys._B if forms is None else _blockdiag([forms[a] for a in letters])
+    qh = q.conj().T
+    dims = {a: basis[a].shape[1] for a in letters}
+    return MatrixSystem._from_blocks(sys.alphabet, dims, qh @ sys._H @ q, qh @ f @ q)
+
+
+def _require_invariant(sys: MatrixSystem, sub: Subsystem, tol: float) -> None:
+    defect = invariance_defect(sys, sub)
+    if defect > tol:
+        raise ValidationError(
+            f"subsystem is not invariant within tolerance: defect {defect:.3e}"
+        )
 
 
 def restrict_to_subsystem(
@@ -321,16 +410,8 @@ def restrict_to_subsystem(
     Returns the restricted system in the orthonormal coordinates of the
     subspaces together with the embedding map back into the ambient system.
     """
-    if invariance_defect(sys, sub) > tol:
-        raise ValidationError("subsystem is not invariant within tolerance")
-    dims = sub.dims()
-    H = {}
-    for (b, a), m in sys._H.items():
-        H[(b, a)] = sub.basis[b].conj().T @ m @ sub.basis[a]
-    B = {a: sub.basis[a].conj().T @ sys.B(a) @ sub.basis[a] for a in dims}
-    restricted = MatrixSystem(sys.alphabet, dims, H, B)
-    emb = SystemMap(sys.alphabet, {a: sub.basis[a] for a in dims})
-    return restricted, emb
+    _require_invariant(sys, sub, tol)
+    return _compressed(sys, sub.basis), SystemMap(sys.alphabet, sub.basis)
 
 
 def quotient_system(
@@ -344,20 +425,13 @@ def quotient_system(
     the true quotient forms exactly when the subsystem is null for ``B``.
     Returns the quotient and the projection map from the ambient system.
     """
-    if invariance_defect(sys, sub) > tol:
-        raise ValidationError("subsystem is not invariant within tolerance")
+    _require_invariant(sys, sub, tol)
     q = {
         a: orthogonal_complement(sub.basis[a], sys.dims[a])
         for a in sys.alphabet.letters
     }
-    dims = {a: q[a].shape[1] for a in q}
-    H = {}
-    for (b, a), m in sys._H.items():
-        H[(b, a)] = q[b].conj().T @ m @ q[a]
-    B = {a: q[a].conj().T @ sys.B(a) @ q[a] for a in dims}
-    quot = MatrixSystem(sys.alphabet, dims, H, B)
     proj = SystemMap(sys.alphabet, {a: q[a].conj().T for a in q})
-    return quot, proj
+    return _compressed(sys, q), proj
 
 
 def direct_sum(s1: MatrixSystem, s2: MatrixSystem) -> MatrixSystem:
@@ -366,21 +440,12 @@ def direct_sum(s1: MatrixSystem, s2: MatrixSystem) -> MatrixSystem:
         raise InputError("direct sum needs a common alphabet")
     al = s1.alphabet
     dims = {a: s1.dims[a] + s2.dims[a] for a in al.letters}
-    H = {}
-    for b, a in s1.pairs():
-        m1, m2 = s1.H(b, a), s2.H(b, a)
-        if np.any(m1) or np.any(m2):
-            m = np.zeros((dims[b], dims[a]), dtype=complex)
-            m[: s1.dims[b], : s1.dims[a]] = m1
-            m[s1.dims[b] :, s1.dims[a] :] = m2
-            H[(b, a)] = m
-    B = {}
-    for a in al.letters:
-        m = np.zeros((dims[a], dims[a]), dtype=complex)
-        m[: s1.dims[a], : s1.dims[a]] = s1.B(a)
-        m[s1.dims[a] :, s1.dims[a] :] = s2.B(a)
-        B[a] = m
-    return MatrixSystem(al, dims, H, B)
+    # Embeddings of the summands: V_a is (V1_a, V2_a).
+    e1 = _blockdiag([np.eye(dims[a], s1.dims[a]) for a in al.letters])
+    e2 = _blockdiag([np.eye(dims[a], s2.dims[a], -s1.dims[a]) for a in al.letters])
+    H = e1 @ s1._H @ e1.T + e2 @ s2._H @ e2.T
+    B = e1 @ s1._B @ e1.T + e2 @ s2._B @ e2.T
+    return MatrixSystem._from_blocks(al, dims, H, B)
 
 
 class SystemMap:
@@ -438,13 +503,17 @@ def map_residual(
                 f"map block for {a!r} has shape {m.shape}, expected "
                 f"{(target.dims[a], source.dims[a])}"
             )
-    worst = 0.0
-    for b, a in source.pairs():
-        lhs = target.H(b, a) @ J[a]
-        rhs = J[b] @ source.H(b, a)
-        if lhs.size:
-            worst = max(worst, float(np.linalg.norm(lhs - rhs, 2)))
-    return worst
+    j = _blockdiag([J[a] for a in source.alphabet.letters])
+    resid = target._H @ j - j @ source._H
+    rows, cols = target._slices, source._slices
+    return max(
+        (
+            float(np.linalg.norm(resid[rows[b], cols[a]], 2))
+            for b, a in source.pairs()
+            if target.dims[b] and source.dims[a]
+        ),
+        default=0.0,
+    )
 
 
 def conjugate(sys: MatrixSystem, J: SystemMap, tol: float = 1e-9) -> MatrixSystem:
@@ -458,11 +527,7 @@ def conjugate(sys: MatrixSystem, J: SystemMap, tol: float = 1e-9) -> MatrixSyste
     for a in sys.alphabet.letters:
         if J[a].shape != (sys.dims[a], sys.dims[a]):
             raise InputError(f"unitary block for {a!r} has the wrong shape")
-    H = {
-        (b, a): J[b] @ m @ J[a].conj().T for (b, a), m in sys._H.items()
-    }
-    B = {a: J[a] @ sys.B(a) @ J[a].conj().T for a in sys.alphabet.letters}
-    out = MatrixSystem(sys.alphabet, dict(sys.dims), H, B)
+    out = _compressed(sys, {a: J[a].conj().T for a in sys.alphabet.letters})
     resid = map_residual(sys, out, J)
     if resid > max(tol, 1e-9) * 10:
         raise InternalCheckError(f"conjugation intertwining residual {resid:.3e}")

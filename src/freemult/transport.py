@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError, InternalCheckError, ValidationError
 from .multfunc import MultiplicativeFunction, evaluate, sample_then_refine
 from .subgroup import FundamentalSubtree, decompose_left
-from .system import MatrixSystem, compatibility_defect
+from .system import MatrixSystem, _blockdiag, _check_compatibility_kept
 from .words import FiniteSubtree, Word, ball, drop_last, first_letter, last_letter, sphere
 
 
@@ -63,16 +63,10 @@ def restrict_system(
                     f"contact path for ({b}, {a}) ends at {prev!r}, "
                     f"not {fs.contact_letter[b]!r}"
                 )
-            if np.any(block):
-                H[(b, a)] = block
+            H[(b, a)] = block
 
     out = MatrixSystem(sub, dims, H, B)
-    if compatibility_defect(sys) <= tol:
-        d = compatibility_defect(out)
-        if d > max(tol, 1e-8) * 10:
-            raise InternalCheckError(
-                f"restriction broke compatibility: defect {d:.3e}"
-            )
+    _check_compatibility_kept(sys, out, tol, "restriction")
     return out
 
 
@@ -149,33 +143,23 @@ def induce_system(
     al = fs.automaton.alphabet
     P = {a: coset_pairs(fs, a) for a in al.letters}
 
-    offsets: dict[str, dict[tuple[Word, str], int]] = {}
-    dims: dict[str, int] = {}
+    # Each coset pair's block starts at its offset in the output's block
+    # layout.
+    offsets: dict[str, dict[tuple[Word, str], int]] = {a: {} for a in al.letters}
+    dims = {a: 0 for a in al.letters}
+    pos = 0
     for a in al.letters:
-        offs = {}
-        pos = 0
         for u, c in P[a]:
-            offs[(u, c)] = pos
+            offsets[a][(u, c)] = pos
             pos += subsys.dims[c]
-        offsets[a] = offs
-        dims[a] = pos
-
-    B = {}
-    for a in al.letters:
-        m = np.zeros((dims[a], dims[a]), dtype=complex)
-        for u, c in P[a]:
-            o = offsets[a][(u, c)]
-            d = subsys.dims[c]
-            m[o : o + d, o : o + d] = subsys.B(c)
-        B[a] = m
-
-    H = {}
+            dims[a] += subsys.dims[c]
+    B = _blockdiag([subsys.B(c) for a in al.letters for _, c in P[a]])
+    H = np.zeros((pos, pos), dtype=complex)
     for a in al.letters:
         ainv = al.word([a]).inverse()
         for b in al.letters:
             if b == al.inverse(a):
                 continue
-            mat = np.zeros((dims[b], dims[a]), dtype=complex)
             for v, drow in P[b]:
                 o_r = offsets[b][(v, drow)]
                 d_r = subsys.dims[drow]
@@ -186,7 +170,7 @@ def induce_system(
                             f"copied pair ({w}, {drow}) missing from P({a})"
                         )
                     o_c = offsets[a][(w, drow)]
-                    mat[o_r : o_r + d_r, o_c : o_c + d_r] = np.eye(d_r)
+                    H[o_r : o_r + d_r, o_c : o_c + d_r] = np.eye(d_r)
                 else:
                     sp, gamma, u = decompose_left(fs, w)
                     if len(sp) != 1:
@@ -208,17 +192,10 @@ def induce_system(
                         )
                     o_c = offsets[a][(u, c)]
                     d_c = subsys.dims[c]
-                    mat[o_r : o_r + d_r, o_c : o_c + d_c] = subsys.H(drow, c)
-            if np.any(mat):
-                H[(b, a)] = mat
+                    H[o_r : o_r + d_r, o_c : o_c + d_c] = subsys.H(drow, c)
 
-    out = MatrixSystem(al, dims, H, B)
-    if compatibility_defect(subsys) <= tol:
-        d = compatibility_defect(out)
-        if d > max(tol, 1e-8) * 10:
-            raise InternalCheckError(
-                f"induction broke compatibility: defect {d:.3e}"
-            )
+    out = MatrixSystem._from_blocks(al, dims, H, B)
+    _check_compatibility_kept(subsys, out, tol, "induction")
     return out
 
 

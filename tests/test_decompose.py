@@ -81,7 +81,8 @@ def reference_closure(sys, seeds):
     changed = True
     while changed:
         changed = False
-        for (b, a), m in sys._H.items():
+        for b, a in sys.stored_pairs():
+            m = sys.H(b, a)
             if basis[a].shape[1] == 0 or sys.dims[b] == 0:
                 continue
             q = orthonormal_columns(np.hstack([basis[b], m @ basis[a]]))

@@ -74,9 +74,9 @@ def reference_act(x: Word, f: MultiplicativeFunction) -> MultiplicativeFunction:
         for c in al.letters:
             if c == banned:
                 continue
-            m = sysm._H.get((c, t))
-            if m is None:
+            if (c, t) not in sysm.stored_pairs():
                 continue
+            m = sysm.H(c, t)
             v2 = m @ v
             if np.any(v2):
                 walk(Word(al, w.data + (al._to_int[c],)), v2, ext + 1)

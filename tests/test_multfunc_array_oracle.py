@@ -63,9 +63,9 @@ def _reference_step(sysm, layer):
         for c in al._file_ints:
             if c == -t:
                 continue
-            m = sysm._H.get((fi[c], fi[t]))
-            if m is None:
+            if (fi[c], fi[t]) not in sysm.stored_pairs():
                 continue
+            m = sysm.H(fi[c], fi[t])
             W = V @ m.T
             keep = W.any(axis=1)
             if not keep.all():

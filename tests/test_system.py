@@ -6,6 +6,8 @@ iterates entrywise with plain Python loops.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freemult import (
     InputError,
@@ -21,9 +23,20 @@ from freemult import (
     quotient_system,
     restrict_to_subsystem,
 )
-from freemult.system import is_invariant_subsystem
+from freemult.system import (
+    apply_transfer,
+    is_invariant_subsystem,
+    orthogonal_complement,
+)
 
-from .conftest import AB, make_spherical, random_compatible, random_system, random_unitary
+from .conftest import (
+    AB,
+    _pairs,
+    make_spherical,
+    random_compatible,
+    random_system,
+    random_unitary,
+)
 
 
 def defect_oracle(sys):
@@ -176,3 +189,179 @@ def test_map_residual_shape_check(spherical):
     J = SystemMap(AB, {a: np.eye(1) for a in AB.letters})
     with pytest.raises(InputError):
         map_residual(spherical, two, J)
+
+
+# ------------------------------------------- block storage against per-pair loops
+#
+# The per-pair loops below are the dict-based implementations that the block
+# expressions replaced, kept as references.
+
+
+def ref_apply_transfer(sys, forms):
+    out = {a: np.zeros((sys.dims[a],) * 2, dtype=complex) for a in sys.alphabet.letters}
+    for b, a in sys.stored_pairs():
+        m = sys.H(b, a)
+        out[a] += m.conj().T @ forms[b] @ m
+    return out
+
+
+def ref_compatibility_defect(sys):
+    img = ref_apply_transfer(sys, {a: sys.B(a) for a in sys.alphabet.letters})
+    return max(
+        (np.linalg.norm(sys.B(a) - img[a], 2) for a in img if sys.dims[a]),
+        default=0.0,
+    )
+
+
+def ref_invariance_defect(sys, sub):
+    worst = 0.0
+    for b, a in sys.stored_pairs():
+        m, w, q = sys.H(b, a), sub.basis[a], sub.basis[b]
+        if w.shape[1] == 0 or m.shape[0] == 0:
+            continue
+        img = m @ w
+        resid = img - q @ (q.conj().T @ img)
+        scale = max(1.0, np.linalg.norm(m, 2))
+        worst = max(worst, np.linalg.norm(resid, 2) / scale)
+    return worst
+
+
+def ref_map_residual(source, target, J):
+    worst = 0.0
+    for b, a in source.pairs():
+        lhs = target.H(b, a) @ J[a]
+        if lhs.size:
+            worst = max(worst, np.linalg.norm(lhs - J[b] @ source.H(b, a), 2))
+    return worst
+
+
+def ref_compress(sys, basis):
+    """``(H, B)`` dicts of ``Q* H Q`` and ``Q* B Q``, pair by pair."""
+    H = {
+        (b, a): basis[b].conj().T @ sys.H(b, a) @ basis[a]
+        for b, a in sys.stored_pairs()
+    }
+    B = {a: basis[a].conj().T @ sys.B(a) @ basis[a] for a in sys.alphabet.letters}
+    return H, B
+
+
+def ref_direct_sum(s1, s2):
+    H, B = {}, {}
+    for b, a in s1.pairs():
+        m = np.zeros((s1.dims[b] + s2.dims[b], s1.dims[a] + s2.dims[a]), dtype=complex)
+        m[: s1.dims[b], : s1.dims[a]] = s1.H(b, a)
+        m[s1.dims[b] :, s1.dims[a] :] = s2.H(b, a)
+        H[(b, a)] = m
+    for a in s1.alphabet.letters:
+        B[a] = np.zeros((s1.dims[a] + s2.dims[a],) * 2, dtype=complex)
+        B[a][: s1.dims[a], : s1.dims[a]] = s1.B(a)
+        B[a][s1.dims[a] :, s1.dims[a] :] = s2.B(a)
+    return H, B
+
+
+def close(got, want, tol=1e-12):
+    scale = max(1.0, np.linalg.norm(want))
+    return np.linalg.norm(np.asarray(got) - want) <= tol * scale
+
+
+def same_system(sys, H, B, tol=1e-12):
+    return all(
+        close(sys.H(b, a), H.get((b, a), np.zeros(sys.H(b, a).shape)), tol)
+        for b, a in sys.pairs()
+    ) and all(close(sys.B(a), B[a], tol) for a in sys.alphabet.letters)
+
+
+def cmat(rng, rows, cols):
+    return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+
+def psd(rng, d):
+    g = cmat(rng, d, d)
+    b = g @ g.conj().T
+    return (b + b.conj().T) / 2  # exactly Hermitian
+
+
+def pair_dicts(rng, dims, present):
+    """Random transfers at the present admissible pairs and random forms."""
+    H = {
+        (b, a): cmat(rng, dims[b], dims[a]) / 2
+        for (b, a), keep in zip(_pairs(AB), present)
+        if keep
+    }
+    return H, {a: psd(rng, dims[a]) for a in AB.letters}
+
+
+blocks = st.tuples(
+    st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    st.lists(st.booleans(), min_size=12, max_size=12),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@given(blocks)
+@settings(max_examples=60, deadline=None)
+def test_block_storage_matches_per_pair_reference(case):
+    dim_list, present, seed = case
+    rng = np.random.default_rng(seed)
+    dims = dict(zip(AB.letters, dim_list))
+    H, B = pair_dicts(rng, dims, present)
+    sys0 = MatrixSystem(AB, dims, H, B)
+
+    # views round-trip the input exactly and cannot be written
+    assert set(sys0.stored_pairs()) == {p for p, m in H.items() if m.size}
+    for b, a in sys0.pairs():
+        want = H.get((b, a), np.zeros((dims[b], dims[a])))
+        assert np.array_equal(sys0.H(b, a), want)
+    assert not sys0.H(AB.inverse("a"), "a").any()
+    for a in AB.letters:
+        assert np.array_equal(sys0.B(a), B[a])
+    for view in [sys0.H(b, a) for b, a in sys0.stored_pairs()] + [
+        sys0.B(a) for a in AB.letters if dims[a]
+    ]:
+        with pytest.raises(ValueError):
+            view[0, 0] = 1.0
+
+    forms = {a: psd(rng, dims[a]) for a in AB.letters}
+    got, want = apply_transfer(sys0, forms), ref_apply_transfer(sys0, forms)
+    assert all(close(got[a], want[a]) for a in AB.letters)
+    assert close(compatibility_defect(sys0), ref_compatibility_defect(sys0))
+
+    # an invariant subsystem: the first k_a coordinates of a block upper
+    # triangular system, rotated by letterwise unitaries
+    k = {a: int(rng.integers(0, dims[a] + 1)) for a in AB.letters}
+    U = {a: random_unitary(rng, dims[a]) for a in AB.letters}
+    tri = {}
+    for (b, a), m in H.items():
+        m = m.copy()
+        m[k[b] :, : k[a]] = 0
+        tri[(b, a)] = U[b] @ m @ U[a].conj().T
+    sys1 = MatrixSystem(AB, dims, tri, B)
+    sub = Subsystem(AB, {a: U[a][:, : k[a]] for a in AB.letters})
+    loose = Subsystem.from_spanning(
+        AB, {a: cmat(rng, dims[a], min(1, dims[a])) for a in AB.letters}
+    )
+    for s, w in ((sys1, sub), (sys0, loose)):
+        assert close(invariance_defect(s, w), ref_invariance_defect(s, w))
+    assert invariance_defect(sys1, sub) <= 1e-9
+
+    restricted, emb = restrict_to_subsystem(sys1, sub)
+    assert same_system(restricted, *ref_compress(sys1, sub.basis))
+    assert all(np.array_equal(emb[a], sub.basis[a]) for a in AB.letters)
+    quot, proj = quotient_system(sys1, sub)
+    comp = {a: orthogonal_complement(sub.basis[a], dims[a]) for a in AB.letters}
+    assert same_system(quot, *ref_compress(sys1, comp))
+    assert all(np.array_equal(proj[a], comp[a].conj().T) for a in AB.letters)
+
+    J = SystemMap(AB, U)
+    conj = conjugate(sys0, J)
+    adjoints = {a: U[a].conj().T for a in AB.letters}
+    assert same_system(conj, *ref_compress(sys0, adjoints))
+
+    two_dims = {a: 2 for a in AB.letters}
+    other = MatrixSystem(AB, two_dims, *pair_dicts(rng, two_dims, present))
+    J2 = SystemMap(AB, {a: cmat(rng, 2, dims[a]) for a in AB.letters})
+    assert close(map_residual(sys0, other, J2), ref_map_residual(sys0, other, J2))
+    assert close(map_residual(sys0, conj, J), ref_map_residual(sys0, conj, J))
+
+    two = direct_sum(sys1, other)
+    assert same_system(two, *ref_direct_sum(sys1, other))

@@ -9,9 +9,12 @@ fixtures and on random compatible systems.
 
 from __future__ import annotations
 
+import sys as _sys
+
 import numpy as np
 import pytest
 
+from freemult.changegen import GeneratorMap, transport_system
 from freemult.errors import InputError, ValidationError
 from freemult.multfunc import (
     MultiplicativeFunction,
@@ -300,3 +303,36 @@ def test_restrict_then_induce_spherical(fs2, spherical):
     rho, _ = pf_eigenpair(isys)
     assert rho == pytest.approx(1.0, abs=1e-9)
     assert sum(isys.dims.values()) == 12
+
+
+# ------------------------------------------------------- compatibility guard
+
+
+def test_each_transport_measures_one_defect(monkeypatch, fs2, fs3, rng):
+    """On a compatible input, restriction, induction and a change of
+    generators each compute one compatibility defect, that of their output:
+    the input is measured only when the output fails."""
+    sys0 = random_compatible(rng)
+    sub = random_compatible(rng, fs2.subgroup_alphabet)
+    gm = GeneratorMap(AB, AB, {"a": "a", "b": "ab"})
+
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return compatibility_defect(s)
+
+    for name, mod in list(_sys.modules.items()):
+        if name == "freemult" or name.startswith("freemult."):
+            for attr, value in list(vars(mod).items()):
+                if value is compatibility_defect:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    for run in (
+        lambda: restrict_system(fs3, sys0),
+        lambda: induce_system(fs2, sub),
+        lambda: transport_system(gm, sys0),
+    ):
+        calls.clear()
+        out = run()
+        assert len(calls) == 1 and calls[0] is out
