@@ -31,8 +31,8 @@ from .errors import (
 )
 from .multfunc import MultiplicativeFunction, evaluate, sample_then_refine
 from .subgroup import automaton_from_generators
-from .system import MatrixSystem, _blockdiag, _check_compatibility_kept
-from .words import Alphabet, FiniteSubtree, Word, drop_last, last_letter
+from .system import MatrixSystem, _assembled
+from .words import Alphabet, FiniteSubtree, Word, children, drop_last, last_letter
 from . import _kernel_py as _k
 
 INCLUDED = _k.INCLUDED
@@ -326,7 +326,7 @@ def compute_Y(gm: GeneratorMap, z: Word) -> YFrontier:
         raise ValidationError("frontiers are rooted at nontrivial vertices")
     bound = source_depth_bound(gm, z)
     members: list[Word] = []
-    queue: list[Word] = list(_source_children(gm.source, gm.source.identity))
+    queue: list[Word] = list(children(gm.source.identity))
     while queue:
         y = queue.pop(0)
         if len(y) > bound:
@@ -337,7 +337,7 @@ def compute_Y(gm: GeneratorMap, z: Word) -> YFrontier:
         if res == INCLUDED:
             members.append(y)
         elif res == MIXED:
-            queue.extend(_source_children(gm.source, y))
+            queue.extend(children(y))
     members.sort(key=Word.sort_key)
     settled = {}
     deeper = [
@@ -348,13 +348,6 @@ def compute_Y(gm: GeneratorMap, z: Word) -> YFrontier:
     for y in members:
         settled[y] = any(gm.classify(y, zb) == INCLUDED for zb in deeper)
     return YFrontier(z, tuple(members), settled)
-
-
-def _source_children(al: Alphabet, y: Word):
-    banned = -y.data[-1] if y.data else 0
-    for i in al._file_ints:
-        if i != banned:
-            yield Word(al, y.data + (i,))
 
 
 def pruned_subtree(gm: GeneratorMap, w: Word, a: str) -> FiniteSubtree:
@@ -389,7 +382,7 @@ def pruned_subtree(gm: GeneratorMap, w: Word, a: str) -> FiniteSubtree:
         verts.append(y)
         if any(gm.classify(y, zb) == INCLUDED for zb in deeper):
             continue
-        queue.extend(_source_children(gm.source, y))
+        queue.extend(children(y))
     tree = FiniteSubtree(gm.source, verts)
     if not tree.is_complete:
         raise InternalCheckError("pruned subtree came out incomplete")
@@ -434,52 +427,14 @@ def transport_system(
         raise InputError("transport needs a system over the source alphabet")
     al = gm.target
     fronts = {a: compute_Y(gm, al.word([a])) for a in al.letters}
+    members = {a: [(y, last_letter(y)) for y in fronts[a].members] for a in al.letters}
 
-    # Each member's block starts at its offset in the output's block layout.
-    members = [(a, y) for a in al.letters for y in fronts[a].members]
-    offsets: dict[str, dict[Word, int]] = {a: {} for a in al.letters}
-    dims = {a: 0 for a in al.letters}
-    pos = 0
-    for a, y in members:
-        offsets[a][y] = pos
-        pos += sys.dims[last_letter(y)]
-        dims[a] += sys.dims[last_letter(y)]
-    B = _blockdiag([sys.B(last_letter(y)) for _, y in members])
-    H = np.zeros((pos, pos), dtype=complex)
-    for a in al.letters:
-        for b in al.letters:
-            if b == al.inverse(a):
-                continue
-            for zrow in fronts[b].members:
-                g = al.word([a]) * gm.expand(zrow)
-                member, suffix = _frontier_projection(gm, fronts[a], g)
-                o_r = offsets[b][zrow]
-                d_r = sys.dims[last_letter(zrow)]
-                o_c = offsets[a][member]
-                d_c = sys.dims[last_letter(member)]
-                if len(suffix) == 0:
-                    src = gm.spell(g)
-                    if last_letter(src) != last_letter(zrow):
-                        raise InternalCheckError(
-                            "empty-suffix block with mismatched value spaces"
-                        )
-                    H[o_r : o_r + d_r, o_c : o_c + d_c] = np.eye(d_r)
-                else:
-                    prev = last_letter(member)
-                    block = np.eye(sys.dims[prev], dtype=complex)
-                    for i in suffix.data:
-                        cur = gm.source._from_int[i]
-                        block = sys.H(cur, prev) @ block
-                        prev = cur
-                    if prev != last_letter(zrow):
-                        raise InternalCheckError(
-                            "propagation block with mismatched value spaces"
-                        )
-                    H[o_r : o_r + d_r, o_c : o_c + d_c] = block
+    def step(a: str, b: str, zrow: Word) -> tuple[Word, tuple[int, ...]]:
+        g = al.word([a]) * gm.expand(zrow)
+        member, suffix = _frontier_projection(gm, fronts[a], g)
+        return member, suffix.data
 
-    out = MatrixSystem._from_blocks(al, dims, H, B)
-    _check_compatibility_kept(sys, out, tol, "transport")
-    return out
+    return _assembled(sys, al, members, step, "transport", tol)
 
 
 def intertwine_changegen(

@@ -80,16 +80,23 @@ def strip_null_directions(
     """
     if compatibility_defect(sys) > tol:
         raise ValidationError("null stripping needs a compatible system")
+    stripped, nulls, _ = _strip_null(sys)
+    return stripped, nulls
+
+
+def _strip_null(sys: MatrixSystem) -> tuple[MatrixSystem, Subsystem, SystemMap]:
+    """:func:`strip_null_directions` of a system already known to be
+    compatible, also returning the projection onto the complements."""
     nulls = Subsystem(
         sys.alphabet, {a: null_space(sys.B(a)) for a in sys.alphabet.letters}
     )
     try:
-        stripped, _ = quotient_system(sys, nulls, tol=_INV_TOL)
+        stripped, proj = quotient_system(sys, nulls, tol=_INV_TOL)
     except ValidationError as exc:
         raise InternalCheckError(
             f"form kernels of a compatible system must be invariant; {exc}"
         ) from exc
-    return stripped, nulls
+    return stripped, nulls, proj
 
 
 def closure_subsystem(
@@ -465,14 +472,8 @@ def decompose(
         raise ValidationError(
             f"decomposition needs a compatible system; defect {defect:.3e}"
         )
-    stripped, nulls = strip_null_directions(sys, tol)
-    base = SystemMap(
-        sys.alphabet,
-        {
-            a: orthogonal_complement(nulls.basis[a], sys.dims[a])
-            for a in sys.alphabet.letters
-        },
-    )
+    stripped, _, proj = _strip_null(sys)
+    base = SystemMap(sys.alphabet, {a: proj[a].conj().T for a in sys.alphabet.letters})
     out: list[tuple[MatrixSystem, SystemMap]] = []
     _decompose_rec(stripped, base, out)
 

@@ -43,7 +43,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .errors import InputError, InternalCheckError, ResourceLimitError, ValidationError
-from .system import MatrixSystem
+from .system import MatrixSystem, _carry
 from .words import Alphabet, FiniteSubtree, Word, last_letter, sphere
 
 # Refinement depths beyond this fail fast; spheres grow geometrically.
@@ -353,12 +353,8 @@ def evaluate(f: MultiplicativeFunction, y: Word) -> np.ndarray:
     i = int(np.searchsorted(codes, code))
     if i == len(codes) or codes[i] != code:
         return np.zeros(f.system.dims[last_letter(y)], dtype=complex)
-    v = V[i]
-    prev = al._from_int[y.data[f.depth - 1]]
-    for k in range(f.depth, len(y)):
-        cur = al._from_int[y.data[k]]
-        v = f.system.H(cur, prev) @ v
-        prev = cur
+    start = al._from_int[y.data[f.depth - 1]]
+    v, _ = _carry(f.system, start, y.data[f.depth :], V[i])
     return v
 
 

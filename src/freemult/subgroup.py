@@ -294,10 +294,6 @@ class FundamentalSubtree:
         self.contact = contact
         self.contact_letter = contact_letter
 
-    @property
-    def domain(self) -> tuple[Word, ...]:
-        return self.reps
-
     def state_of(self, x: Word) -> int:
         return self.automaton.run(0, x)
 

@@ -24,7 +24,7 @@ conjugation are one compression ``Q* H Q``.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -266,6 +266,76 @@ def _check_compatibility_kept(
     d = compatibility_defect(out)
     if d > max(tol, 1e-8) * 10 and compatibility_defect(source) <= tol:
         raise InternalCheckError(f"{what} broke compatibility: defect {d:.3e}")
+
+
+def _carry(
+    sys: MatrixSystem, start: str, path: Sequence[int], x: np.ndarray
+) -> tuple[np.ndarray, str]:
+    """Carry ``x`` from the space at ``start`` along a path of signed letter
+    ints, one transfer ``H(cur, prev)`` per letter.  Returns the image and
+    the letter the path ends at."""
+    letter = sys.alphabet._from_int
+    prev = start
+    for i in path:
+        cur = letter[i]
+        x = sys.H(cur, prev) @ x
+        prev = cur
+    return x, prev
+
+
+def _assembled(
+    source: MatrixSystem,
+    alphabet: Alphabet,
+    members: Mapping[str, Sequence[tuple[Hashable, str]]],
+    step: Callable[[str, str, Hashable], tuple[Hashable, Sequence[int]]],
+    what: str,
+    tol: float,
+) -> MatrixSystem:
+    """A system over ``alphabet`` built from blocks of ``source``.
+
+    ``members[t]`` lists ``(key, source letter)`` pairs; the space at ``t``
+    is the direct sum of their source spaces, in list order, and the form
+    is the block diagonal of their source forms.  For each admissible pair
+    ``(b, a)`` and each member ``r`` of ``b``, ``step(a, b, r)`` names the
+    member ``k`` of ``a`` feeding ``r`` and a path of signed source letters;
+    the block from ``k`` to ``r`` carries ``k``'s space along the path,
+    which must end at ``r``'s source letter (an empty path is the
+    identity).  ``what`` names the construction in error messages; the
+    output must stay compatible when ``source`` is, within ``tol``.
+    """
+    slots: dict[str, dict[Hashable, tuple[int, str]]] = {}
+    dims, pos = {}, 0
+    for t in alphabet.letters:
+        slots[t] = {}
+        for key, c in members[t]:
+            slots[t][key] = (pos, c)
+            pos += source.dims[c]
+        dims[t] = sum(source.dims[c] for _, c in members[t])
+    B = _blockdiag([source.B(c) for t in alphabet.letters for _, c in members[t]])
+    H = np.zeros((pos, pos), dtype=complex)
+    for a in alphabet.letters:
+        for b in alphabet.letters:
+            if b == alphabet.inverse(a):
+                continue
+            for r, (o_r, c_r) in slots[b].items():
+                k, path = step(a, b, r)
+                if k not in slots[a]:
+                    raise InternalCheckError(
+                        f"{what} block ({b}, {a}) at {r} names {k}, "
+                        f"which is not a member of {a!r}"
+                    )
+                o_k, c_k = slots[a][k]
+                d_k = source.dims[c_k]
+                block, end = _carry(source, c_k, path, np.eye(d_k, dtype=complex))
+                if end != c_r:
+                    raise InternalCheckError(
+                        f"{what} path for ({b}, {a}) at {r} ends at {end!r}, "
+                        f"not {c_r!r}"
+                    )
+                H[o_r : o_r + source.dims[c_r], o_k : o_k + d_k] = block
+    out = MatrixSystem._from_blocks(alphabet, dims, H, B)
+    _check_compatibility_kept(source, out, tol, what)
+    return out
 
 
 class Subsystem:

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InputError, InternalCheckError, ValidationError
 from .multfunc import MultiplicativeFunction, evaluate, sample_then_refine
 from .subgroup import FundamentalSubtree, decompose_left
-from .system import MatrixSystem, _blockdiag, _check_compatibility_kept
+from .system import MatrixSystem, _assembled
 from .words import FiniteSubtree, Word, ball, drop_last, first_letter, last_letter, sphere
 
 
@@ -36,38 +36,18 @@ def restrict_system(
     if sys.alphabet != al:
         raise InputError("restriction needs a system over the ambient alphabet")
     sub = fs.subgroup_alphabet
+    members = {c: [(c, fs.contact_letter[c])] for c in sub.letters}
 
-    dims = {c: sys.dims[fs.contact_letter[c]] for c in sub.letters}
-    B = {c: sys.B(fs.contact_letter[c]) for c in sub.letters}
-
-    H = {}
-    for a in sub.letters:
+    def step(a: str, b: str, _) -> tuple[str, tuple[int, ...]]:
         xa = fs.contact[a]
-        qa = fs.contact_letter[a]
-        for b in sub.letters:
-            if b == sub.inverse(a):
-                continue
-            t = fs.gamma_of[a] * fs.contact[b]
-            if not t.starts_with(xa) or len(t) == len(xa):
-                raise InternalCheckError(
-                    f"contact path for ({b}, {a}) does not descend through {xa}"
-                )
-            prev = qa
-            block = np.eye(sys.dims[prev], dtype=complex)
-            for i in t.data[len(xa) :]:
-                cur = al._from_int[i]
-                block = sys.H(cur, prev) @ block
-                prev = cur
-            if prev != fs.contact_letter[b]:
-                raise InternalCheckError(
-                    f"contact path for ({b}, {a}) ends at {prev!r}, "
-                    f"not {fs.contact_letter[b]!r}"
-                )
-            H[(b, a)] = block
+        t = fs.gamma_of[a] * fs.contact[b]
+        if not t.starts_with(xa) or len(t) == len(xa):
+            raise InternalCheckError(
+                f"contact path for ({b}, {a}) does not descend through {xa}"
+            )
+        return a, t.data[len(xa) :]
 
-    out = MatrixSystem(sub, dims, H, B)
-    _check_compatibility_kept(sys, out, tol, "restriction")
-    return out
+    return _assembled(sys, sub, members, step, "restriction", tol)
 
 
 def restrict_function(
@@ -141,62 +121,24 @@ def induce_system(
     if subsys.alphabet != sub:
         raise InputError("induction needs a system over the subgroup alphabet")
     al = fs.automaton.alphabet
-    P = {a: coset_pairs(fs, a) for a in al.letters}
+    members = {a: [((u, c), c) for u, c in coset_pairs(fs, a)] for a in al.letters}
 
-    # Each coset pair's block starts at its offset in the output's block
-    # layout.
-    offsets: dict[str, dict[tuple[Word, str], int]] = {a: {} for a in al.letters}
-    dims = {a: 0 for a in al.letters}
-    pos = 0
-    for a in al.letters:
-        for u, c in P[a]:
-            offsets[a][(u, c)] = pos
-            pos += subsys.dims[c]
-            dims[a] += subsys.dims[c]
-    B = _blockdiag([subsys.B(c) for a in al.letters for _, c in P[a]])
-    H = np.zeros((pos, pos), dtype=complex)
-    for a in al.letters:
-        ainv = al.word([a]).inverse()
-        for b in al.letters:
-            if b == al.inverse(a):
-                continue
-            for v, drow in P[b]:
-                o_r = offsets[b][(v, drow)]
-                d_r = subsys.dims[drow]
-                w = v * ainv
-                if fs.in_domain(w):
-                    if (w, drow) not in offsets[a]:
-                        raise InternalCheckError(
-                            f"copied pair ({w}, {drow}) missing from P({a})"
-                        )
-                    o_c = offsets[a][(w, drow)]
-                    H[o_r : o_r + d_r, o_c : o_c + d_r] = np.eye(d_r)
-                else:
-                    sp, gamma, u = decompose_left(fs, w)
-                    if len(sp) != 1:
-                        raise InternalCheckError(
-                            f"step {v} -> {w} emitted {len(sp)} generators"
-                        )
-                    c = sub.inverse(last_letter(sp))
-                    if gamma != fs.gamma_of[c].inverse():
-                        raise InternalCheckError(
-                            "emitted generator does not match its symbol"
-                        )
-                    if (u, c) not in offsets[a]:
-                        raise InternalCheckError(
-                            f"emitted pair ({u}, {c}) missing from P({a})"
-                        )
-                    if c == sub.inverse(drow):
-                        raise InternalCheckError(
-                            "emitted generator inverts the row letter"
-                        )
-                    o_c = offsets[a][(u, c)]
-                    d_c = subsys.dims[c]
-                    H[o_r : o_r + d_r, o_c : o_c + d_c] = subsys.H(drow, c)
+    def step(a: str, b: str, row: tuple[Word, str]) -> tuple[tuple, tuple[int, ...]]:
+        v, drow = row
+        w = v * al.word([a]).inverse()
+        if fs.in_domain(w):
+            return (w, drow), ()
+        sp, gamma, u = decompose_left(fs, w)
+        if len(sp) != 1:
+            raise InternalCheckError(f"step {v} -> {w} emitted {len(sp)} generators")
+        c = sub.inverse(last_letter(sp))
+        if gamma != fs.gamma_of[c].inverse():
+            raise InternalCheckError("emitted generator does not match its symbol")
+        if c == sub.inverse(drow):
+            raise InternalCheckError("emitted generator inverts the row letter")
+        return (u, c), (sub._to_int[drow],)
 
-    out = MatrixSystem._from_blocks(al, dims, H, B)
-    _check_compatibility_kept(subsys, out, tol, "induction")
-    return out
+    return _assembled(subsys, al, members, step, "induction", tol)
 
 
 def _tile_word(fs: FundamentalSubtree, x: Word) -> Word:

@@ -165,9 +165,6 @@ class Alphabet:
             raise InputError(f"unknown letter {exc.args[0]!r}") from None
         return Word(self, _k.reduce_word(ints))
 
-    def _word_from_ints(self, data: tuple[int, ...]) -> "Word":
-        return Word(self, data)
-
 
 class Word:
     """An element of the free group as a reduced word; immutable, hashable.
@@ -200,7 +197,8 @@ class Word:
         )
 
     def __hash__(self) -> int:
-        return hash(self.data)
+        # CPython hashes -1 and -2 alike; the doubled letters hash apart.
+        return hash(tuple([2 * i for i in self.data]))
 
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
@@ -238,19 +236,6 @@ class Word:
 
     def prefix(self, n: int) -> "Word":
         return Word(self.alphabet, self.data[:n])
-
-
-def reduce(alphabet: Alphabet, letters: Sequence[str]) -> Word:
-    """Reduced word of a letter sequence."""
-    return alphabet.word(letters)
-
-
-def multiply(x: Word, y: Word) -> Word:
-    return x * y
-
-
-def inverse(x: Word) -> Word:
-    return x.inverse()
 
 
 def last_letter(x: Word) -> str:
@@ -443,10 +428,6 @@ def complete_subtree_of(alphabet: Alphabet, vertices: Iterable[Word]) -> FiniteS
     if not t.is_complete:
         raise ValidationError("subtree is not complete: some vertex has partial degree")
     return t
-
-
-def terminal_vertices(t: FiniteSubtree) -> frozenset[Word]:
-    return t.terminals
 
 
 def based_root(t: FiniteSubtree) -> tuple[Word, Word]:

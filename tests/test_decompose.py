@@ -7,6 +7,7 @@ with every component compatible, irreducible, and isometrically embedded.
 """
 
 import importlib
+import sys as _sys
 from collections import Counter
 
 import numpy as np
@@ -342,3 +343,21 @@ def test_decompose_work_does_not_depend_on_bases(monkeypatch):
     # V + V + W, split through the loop algebra
     _, pair = equivalent_pair(rng)
     assert_same_work(direct_sum(pair, pieces[0]))
+
+
+def test_decompose_measures_its_input_once(monkeypatch, rng):
+    sys0 = direct_sum(certified_irreducible(rng), certified_irreducible(rng))
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return compatibility_defect(s)
+
+    for name, mod in list(_sys.modules.items()):
+        if name == "freemult" or name.startswith("freemult."):
+            for attr, value in list(vars(mod).items()):
+                if value is compatibility_defect:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    assert len(decompose(sys0)) == 2
+    assert sum(s is sys0 for s in calls) == 1

@@ -14,8 +14,13 @@ import sys as _sys
 import numpy as np
 import pytest
 
-from freemult.changegen import GeneratorMap, transport_system
-from freemult.errors import InputError, ValidationError
+from freemult.changegen import (
+    GeneratorMap,
+    _frontier_projection,
+    compute_Y,
+    transport_system,
+)
+from freemult.errors import InputError, InternalCheckError, ValidationError
 from freemult.multfunc import (
     MultiplicativeFunction,
     evaluate,
@@ -24,8 +29,8 @@ from freemult.multfunc import (
     shadow,
 )
 from freemult.perron import pf_eigenpair
-from freemult.subgroup import schreier_subtree
-from freemult.system import compatibility_defect
+from freemult.subgroup import decompose_left, schreier_subtree
+from freemult.system import MatrixSystem, _assembled, _blockdiag, compatibility_defect
 from freemult.transport import (
     coset_pairs,
     induce_function,
@@ -37,6 +42,7 @@ from freemult.transport import (
 from freemult.words import Word, ball, drop_last, last_letter, sphere
 
 from .conftest import AB, make_spherical, random_compatible
+from .test_function_transport_oracle import CHANGEGEN_MAPS
 
 H3 = 3.0 ** -0.5
 
@@ -336,3 +342,159 @@ def test_each_transport_measures_one_defect(monkeypatch, fs2, fs3, rng):
         calls.clear()
         out = run()
         assert len(calls) == 1 and calls[0] is out
+
+
+# ------------------------------------------------------------ block assembly
+#
+# The three constructions as separate loops, kept as references for the one
+# block assembly they now share: every block must come out bit-identical.
+
+
+def reference_transport_system(gm, sys):
+    al = gm.target
+    fronts = {a: compute_Y(gm, al.word([a])) for a in al.letters}
+    members = [(a, y) for a in al.letters for y in fronts[a].members]
+    offsets = {a: {} for a in al.letters}
+    dims = {a: 0 for a in al.letters}
+    pos = 0
+    for a, y in members:
+        offsets[a][y] = pos
+        pos += sys.dims[last_letter(y)]
+        dims[a] += sys.dims[last_letter(y)]
+    B = _blockdiag([sys.B(last_letter(y)) for _, y in members])
+    H = np.zeros((pos, pos), dtype=complex)
+    for a in al.letters:
+        for b in al.letters:
+            if b == al.inverse(a):
+                continue
+            for zrow in fronts[b].members:
+                g = al.word([a]) * gm.expand(zrow)
+                member, suffix = _frontier_projection(gm, fronts[a], g)
+                o_r = offsets[b][zrow]
+                d_r = sys.dims[last_letter(zrow)]
+                o_c = offsets[a][member]
+                d_c = sys.dims[last_letter(member)]
+                if len(suffix) == 0:
+                    assert last_letter(gm.spell(g)) == last_letter(zrow)
+                    H[o_r : o_r + d_r, o_c : o_c + d_c] = np.eye(d_r)
+                else:
+                    prev = last_letter(member)
+                    block = np.eye(sys.dims[prev], dtype=complex)
+                    for i in suffix.data:
+                        cur = gm.source._from_int[i]
+                        block = sys.H(cur, prev) @ block
+                        prev = cur
+                    assert prev == last_letter(zrow)
+                    H[o_r : o_r + d_r, o_c : o_c + d_c] = block
+    return MatrixSystem._from_blocks(al, dims, H, B)
+
+
+def reference_restrict_system(fs, sys):
+    al = fs.automaton.alphabet
+    sub = fs.subgroup_alphabet
+    dims = {c: sys.dims[fs.contact_letter[c]] for c in sub.letters}
+    B = {c: sys.B(fs.contact_letter[c]) for c in sub.letters}
+    H = {}
+    for a in sub.letters:
+        xa = fs.contact[a]
+        for b in sub.letters:
+            if b == sub.inverse(a):
+                continue
+            t = fs.gamma_of[a] * fs.contact[b]
+            assert t.starts_with(xa) and len(t) > len(xa)
+            prev = fs.contact_letter[a]
+            block = np.eye(sys.dims[prev], dtype=complex)
+            for i in t.data[len(xa) :]:
+                cur = al._from_int[i]
+                block = sys.H(cur, prev) @ block
+                prev = cur
+            assert prev == fs.contact_letter[b]
+            H[(b, a)] = block
+    return MatrixSystem(sub, dims, H, B)
+
+
+def reference_induce_system(fs, subsys):
+    sub = fs.subgroup_alphabet
+    al = fs.automaton.alphabet
+    P = {a: coset_pairs(fs, a) for a in al.letters}
+    offsets = {a: {} for a in al.letters}
+    dims = {a: 0 for a in al.letters}
+    pos = 0
+    for a in al.letters:
+        for u, c in P[a]:
+            offsets[a][(u, c)] = pos
+            pos += subsys.dims[c]
+            dims[a] += subsys.dims[c]
+    B = _blockdiag([subsys.B(c) for a in al.letters for _, c in P[a]])
+    H = np.zeros((pos, pos), dtype=complex)
+    for a in al.letters:
+        ainv = al.word([a]).inverse()
+        for b in al.letters:
+            if b == al.inverse(a):
+                continue
+            for v, drow in P[b]:
+                o_r = offsets[b][(v, drow)]
+                d_r = subsys.dims[drow]
+                w = v * ainv
+                if fs.in_domain(w):
+                    o_c = offsets[a][(w, drow)]
+                    H[o_r : o_r + d_r, o_c : o_c + d_r] = np.eye(d_r)
+                else:
+                    sp, gamma, u = decompose_left(fs, w)
+                    assert len(sp) == 1
+                    c = sub.inverse(last_letter(sp))
+                    assert gamma == fs.gamma_of[c].inverse()
+                    o_c = offsets[a][(u, c)]
+                    d_c = subsys.dims[c]
+                    H[o_r : o_r + d_r, o_c : o_c + d_c] = subsys.H(drow, c)
+    return MatrixSystem._from_blocks(al, dims, H, B)
+
+
+def assert_same_blocks(got, want):
+    assert got.alphabet == want.alphabet and got.dims == want.dims
+    for a in got.alphabet.letters:
+        assert np.array_equal(got.B(a), want.B(a)), a
+        for b in got.alphabet.letters:
+            assert np.array_equal(got.H(b, a), want.H(b, a)), (b, a)
+
+
+@pytest.mark.parametrize("images", CHANGEGEN_MAPS, ids=lambda m: f"a{m['a']}-b{m['b']}")
+def test_transport_system_matches_reference_assembly(images, rng):
+    gm = GeneratorMap(AB, AB, images)
+    for _ in range(2):
+        sys0 = random_compatible(rng, max_dim=2)
+        want = reference_transport_system(gm, sys0)
+        assert_same_blocks(transport_system(gm, sys0), want)
+
+
+def test_restrict_and_induce_match_reference_assembly(fs2, fs3, rng):
+    for fs in (fs2, fs3):
+        for _ in range(3):
+            amb = random_compatible(rng, max_dim=2)
+            want = reference_restrict_system(fs, amb)
+            assert_same_blocks(restrict_system(fs, amb), want)
+            sub = random_compatible(rng, fs.subgroup_alphabet, max_dim=2)
+            assert_same_blocks(induce_system(fs, sub), reference_induce_system(fs, sub))
+
+
+def test_assembly_rejects_inconsistent_steps(rng):
+    src = random_compatible(rng, max_dim=2)
+    members = {t: [(t, t)] for t in AB.letters}
+
+    # one member per letter and one-letter paths rebuild the source itself
+    def one_step(a, b, r):
+        return a, (AB._to_int[b],)
+
+    assert_same_blocks(_assembled(src, AB, members, one_step, "copy", 1e-8), src)
+
+    def stays(a, b, r):
+        return a, ()
+
+    with pytest.raises(InternalCheckError, match="ends at"):
+        _assembled(src, AB, members, stays, "copy", 1e-8)
+
+    def stranger(a, b, r):
+        return "x", (AB._to_int[b],)
+
+    with pytest.raises(InternalCheckError, match="not a member"):
+        _assembled(src, AB, members, stranger, "copy", 1e-8)

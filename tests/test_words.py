@@ -148,6 +148,14 @@ def test_sphere_sizes():
     assert len(set(sphere(AB, 3))) == 36
 
 
+def test_word_hashes_separate_a_sphere():
+    # CPython hashes the ints -1 and -2 alike, so hashing the raw letter
+    # tuple gives the 8,748 words of this sphere only 4,057 distinct hashes.
+    words = sphere(AB, 8)
+    assert len(words) == 8748
+    assert len({hash(w) for w in words}) == 8748
+
+
 def test_geodesic_and_ball():
     path = geodesic(AB.word("ab"), AB.word("aB"))
     assert [str(p) for p in path] == ["ab", "a", "aB"]
