@@ -70,6 +70,7 @@ class GeneratorMap:
         "_img_table",
         "_back_table",
         "_classify_memo",
+        "_frontier_memo",
     )
 
     def __init__(
@@ -138,6 +139,7 @@ class GeneratorMap:
         self._img_table = _letter_table(source, full)
         self._back_table = _letter_table(target, back)
         self._classify_memo: dict[tuple, int] = {}
+        self._frontier_memo: dict[str, YFrontier] = {}
 
         for a in target.letters:
             if self.expand(self.spell(target.word([a]))) != target.word([a]):
@@ -350,6 +352,14 @@ def compute_Y(gm: GeneratorMap, z: Word) -> YFrontier:
     return YFrontier(z, tuple(members), settled)
 
 
+def _letter_frontier(gm: GeneratorMap, a: str) -> YFrontier:
+    """:func:`compute_Y` at the target letter ``a``, searched once per map."""
+    front = gm._frontier_memo.get(a)
+    if front is None:
+        front = gm._frontier_memo[a] = compute_Y(gm, gm.target.word([a]))
+    return front
+
+
 def pruned_subtree(gm: GeneratorMap, w: Word, a: str) -> FiniteSubtree:
     """The complete source subtree hanging at a frontier member ``w`` of the
     target letter ``a``, pruned at the deeper frontiers.
@@ -426,7 +436,7 @@ def transport_system(
     if sys.alphabet != gm.source:
         raise InputError("transport needs a system over the source alphabet")
     al = gm.target
-    fronts = {a: compute_Y(gm, al.word([a])) for a in al.letters}
+    fronts = {a: _letter_frontier(gm, a) for a in al.letters}
     members = {a: [(y, last_letter(y)) for y in fronts[a].members] for a in al.letters}
 
     def step(a: str, b: str, zrow: Word) -> tuple[Word, tuple[int, ...]]:
@@ -463,7 +473,7 @@ def intertwine_changegen(
     blocks = {
         a: [
             (sys.dims[last_letter(y)], gm.expand(y))
-            for y in compute_Y(gm, al.word([a])).members
+            for y in _letter_frontier(gm, a).members
         ]
         for a in al.letters
     }

@@ -27,13 +27,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, InternalCheckError, ValidationError
-from .perron import pf_eigenpair
+from .perron import _VANISH_RTOL, pf_eigenpair
 from .system import (
     MatrixSystem,
     Subsystem,
     SystemMap,
+    _blockdiag,
     _compressed,
-    apply_transfer,
+    _snorm,
+    _transfer,
     compatibility_defect,
     invariance_defect,
     map_residual,
@@ -55,8 +57,6 @@ _RHO_CEILING = 100 * _RHO_BAND
 # Eigenvalues of a generic loop operator closer than this, relative to the
 # spectral radius (or one), are taken as one eigenvalue.
 _EIG_CLUSTER_RTOL = 1e-8
-# Pulled-back forms smaller than this relative to the largest count as zero.
-_VANISH_RTOL = 1e-14
 # Eigenvalues of the residual form within this of zero, relative to the
 # norm of the form (or one), span the splitting kernel.
 _KERNEL_RTOL = 1e-7
@@ -342,21 +342,12 @@ def _split_off_component(
 
     Returns ``(component, its embedding, remainder on w, its embedding)``.
     """
-    al = sys.alphabet
+    al, sl = sys.alphabet, sys._slices
     # Pull the quotient eigentuple back through the projection.
-    bt = {a: proj[a].conj().T @ forms_t[a] @ proj[a] for a in al.letters}
-    img = apply_transfer(sys, bt)
-    scale_bt = max(
-        (float(np.linalg.norm(x, 2)) for x in bt.values() if x.size), default=0.0
-    )
-    drift = max(
-        (
-            float(np.linalg.norm(img[a] - bt[a], 2))
-            for a in al.letters
-            if bt[a].size
-        ),
-        default=0.0,
-    )
+    p = _blockdiag([proj[a] for a in al.letters])
+    bt = p.conj().T @ _blockdiag([forms_t[a] for a in al.letters]) @ p
+    scale_bt = _snorm(bt)
+    drift = _snorm(_transfer(sys, bt) - bt)
     if drift > _INV_TOL * max(1.0, scale_bt):
         raise InternalCheckError(
             f"pulled-back quotient eigentuple drifts under transfer: {drift:.3e}"
@@ -365,28 +356,29 @@ def _split_off_component(
     # Largest coefficient keeping B - lambda0 * bt positive semidefinite,
     # computed letterwise on the whitened pencil.
     lam_inv = 0.0
-    for a in al.letters:
-        vanishing = not np.any(np.abs(bt[a]) > _VANISH_RTOL * max(1.0, scale_bt))
+    for a, s in sl.items():
+        vanishing = not np.any(np.abs(bt[s, s]) > _VANISH_RTOL * max(1.0, scale_bt))
         if sys.dims[a] == 0 or vanishing:
             continue
         evals, vecs = np.linalg.eigh(sys.B(a))
         if evals[0] <= 0:
             raise InternalCheckError("splitting requires strictly positive forms")
         white = vecs @ np.diag(evals**-0.5) @ vecs.conj().T
-        s = white @ bt[a] @ white
-        lam_inv = max(lam_inv, float(np.linalg.eigvalsh((s + s.conj().T) / 2)[-1]))
+        m = white @ bt[s, s] @ white
+        lam_inv = max(lam_inv, float(np.linalg.eigvalsh((m + m.conj().T) / 2)[-1]))
     if lam_inv <= 0:
         raise InternalCheckError("quotient eigentuple pulled back to zero")
     lam0 = 1.0 / lam_inv
 
     # Kernel of the residual form at each letter carries the summand.
+    resid = sys._B - lam0 * bt
     w0 = {}
-    for a in al.letters:
-        resid = sys.B(a) - lam0 * bt[a]
-        if resid.size == 0:
+    for a, s in sl.items():
+        r = resid[s, s]
+        if r.size == 0:
             w0[a] = np.zeros((0, 0), dtype=complex)
             continue
-        evals, vecs = np.linalg.eigh((resid + resid.conj().T) / 2)
+        evals, vecs = np.linalg.eigh((r + r.conj().T) / 2)
         cut = _KERNEL_RTOL * max(1.0, float(np.linalg.norm(sys.B(a), 2)))
         if evals[0] < -cut * _POSITIVITY_SLACK:
             raise InternalCheckError(
@@ -408,23 +400,18 @@ def _split_off_component(
 
     # The residual form vanishes on the kernel, so the restricted ambient
     # form must agree with the restricted pullback.
-    for a in al.letters:
+    for a, s in sl.items():
         direct = w0[a].conj().T @ sys.B(a) @ w0[a]
-        pulled = lam0 * (w0[a].conj().T @ bt[a] @ w0[a])
+        pulled = lam0 * (w0[a].conj().T @ bt[s, s] @ w0[a])
         if direct.size and np.linalg.norm(direct - pulled, 2) > _ROUTE_RTOL * max(
             1.0, float(np.linalg.norm(sys.B(a), 2))
         ):
             raise InternalCheckError(
                 f"restricted forms disagree between the two routes at {a!r}"
             )
-    component = _compressed(sys, w0, {a: lam0 * bt[a] for a in al.letters})
-    comp_embed = SystemMap(al, w0)
-
-    rest = _compressed(
-        sys, w.basis, {a: sys.B(a) - lam0 * bt[a] for a in al.letters}
-    )
-    rest_embed = SystemMap(al, dict(w.basis))
-    return component, comp_embed, rest, rest_embed
+    component = _compressed(sys, w0, lam0 * bt)
+    rest = _compressed(sys, w.basis, resid)
+    return component, SystemMap(al, w0), rest, SystemMap(al, dict(w.basis))
 
 
 def _decompose_rec(
@@ -477,10 +464,7 @@ def decompose(
     out: list[tuple[MatrixSystem, SystemMap]] = []
     _decompose_rec(stripped, base, out)
 
-    h_scale = max(
-        (float(np.linalg.norm(sys.H(b, a), 2)) for b, a in sys.stored_pairs()),
-        default=1.0,
-    )
+    h_scale = max(sys._block_norms().values(), default=1.0)
     for comp, emb in out:
         cd = compatibility_defect(comp)
         if cd > max(tol, _COMPONENT_DEFECT_FLOOR):

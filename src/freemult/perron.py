@@ -7,16 +7,20 @@ that cone; the leading eigenpair drives the normalization of a system to a
 compatible one.
 
 :func:`pf_eigenpair` first runs a power iteration inside the cone, from the
-identity tuple and through :func:`apply_transfer` alone.  For a positive
-definite iterate ``X`` the Collatz–Wielandt bracket
-``alpha = min_a lambda_min(X_a^{-1/2} T(X)_a X_a^{-1/2})`` and
-``beta = max_a lambda_max(...)`` satisfies ``alpha <= rho <= beta``, so once
-it closes to a relative width of ``_BRACKET_RTOL`` the spectral radius is
-certified, and ``X`` is an eigentuple up to a residual of half the width,
-relative to ``|X|``.  When the bracket cannot close — the eigentuple lies
-on the boundary of the cone (an iterate turns singular), the operator is
-nilpotent, the peripheral spectrum holds more than ``rho``, or
-``_CONE_ITERATIONS`` pass first — the dense eigensolver on
+identity tuple.  Inside this module a form tuple is one block-diagonal
+``total_dim x total_dim`` array in the system's block layout, and a transfer
+step is the diagonal blocks of ``H* X H``; only :func:`pf_eigenpair` hands
+out a dict of blocks.  For a positive definite iterate ``X`` the
+Collatz–Wielandt bracket ``alpha = lambda_min(X^{-1/2} T(X) X^{-1/2})`` and
+``beta = lambda_max(...)`` (the block-diagonal matrix has the union of the
+letterwise spectra, so these are the extremes over the letters) satisfies
+``alpha <= rho <= beta``; once it closes to a relative width of
+``_BRACKET_RTOL`` the spectral radius is certified, and ``X`` is an
+eigentuple up to a residual of half the width, relative to ``|X|``.  When
+the bracket cannot close — the eigentuple lies on the boundary of the cone
+(the smallest eigenvalue of an iterate falls to ``_DEFINITE_RTOL`` of its
+largest), the operator is nilpotent, the peripheral spectrum holds more
+than ``rho``, or ``_CONE_ITERATIONS`` pass first — the dense eigensolver on
 :func:`transfer_matrix` decides.
 
 Vectorization uses the real basis of Hermitian matrices (diagonal units,
@@ -28,12 +32,11 @@ coordinates by fixed index arrays.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from .errors import InputError, NumericError, ValidationError
-from .system import MatrixSystem, apply_transfer, compatibility_defect, is_psd
+from .system import MatrixSystem, _snorm, _transfer, compatibility_defect, is_psd
+from .system import apply_transfer  # noqa: F401 (re-exported by the package)
 
 FormTuple = dict[str, np.ndarray]
 
@@ -55,10 +58,9 @@ _AVERAGED_RESIDUAL_FLOOR = 1e-9
 _LEADING_GAP = 1e-12
 # Eigenvectors with a smaller total trace cannot be scaled into the cone.
 _TRACE_FLOOR = 1e-12
-# An iterate this small relative to its predecessor has vanished.
+# An array this small relative to its scale has vanished: an iterate against
+# its predecessor here, a pulled-back form block against the largest in decompose.
 _VANISH_RTOL = 1e-14
-# Guards the residual against a zero scale.
-_TINY = 1e-300
 # Normalization may leave a compatibility defect of 100 * max(tol, this).
 _DEFECT_FLOOR = 1e-9
 
@@ -71,16 +73,18 @@ def _hermitian_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class _HermitianLayout:
-    """Real coordinates on tuples of Hermitian matrices.
+    """Real coordinates on block-diagonal Hermitian form arrays.
 
     Letter ``a`` owns ``dims[a]**2`` coordinates from ``offsets[a]``: the
-    diagonal first, then the real and imaginary part of each upper entry,
-    interleaved.
+    diagonal of its block first, then the real and imaginary part of each
+    upper entry, interleaved.
     """
 
     def __init__(self, sys: MatrixSystem):
         self.letters = sys.alphabet.letters
         self.dims = {a: sys.dims[a] for a in self.letters}
+        self.slices = sys._slices
+        self.total_dim = sys.total_dim
         self.offsets = {}
         self.index = {}
         n = 0
@@ -90,21 +94,21 @@ class _HermitianLayout:
             n += self.dims[a] ** 2
         self.size = n
 
-    def to_vector(self, forms: Mapping[str, np.ndarray]) -> np.ndarray:
+    def to_vector(self, forms: np.ndarray) -> np.ndarray:
         v = np.zeros(self.size)
         for a in self.letters:
-            d, o = self.dims[a], self.offsets[a]
+            d, o, s = self.dims[a], self.offsets[a], self.slices[a]
             diag, up, _ = self.index[a]
-            x = np.asarray(forms[a]).reshape(-1)
+            x = forms[s, s].reshape(-1)
             v[o : o + d] = x[diag].real
             v[o + d : o + d * d : 2] = x[up].real
             v[o + d + 1 : o + d * d : 2] = x[up].imag
         return v
 
-    def from_vector(self, v: np.ndarray) -> FormTuple:
-        out: FormTuple = {}
+    def from_vector(self, v: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.total_dim, self.total_dim), dtype=complex)
         for a in self.letters:
-            d, o = self.dims[a], self.offsets[a]
+            d, o, s = self.dims[a], self.offsets[a], self.slices[a]
             diag, up, lo = self.index[a]
             x = np.zeros(d * d, dtype=complex)
             re = v[o + d : o + d * d : 2]
@@ -112,7 +116,7 @@ class _HermitianLayout:
             x[diag] = v[o : o + d]
             x[up] = re + 1j * im
             x[lo] = re - 1j * im
-            out[a] = x.reshape(d, d)
+            out[s, s] = x.reshape(d, d)
         return out
 
 
@@ -141,105 +145,84 @@ def transfer_matrix(sys: MatrixSystem) -> tuple[np.ndarray, _HermitianLayout]:
     return m, layout
 
 
-def _identity_tuple(sys: MatrixSystem) -> FormTuple:
-    return {a: np.eye(sys.dims[a], dtype=complex) for a in sys.alphabet.letters}
-
-
-def _trace_sum(forms: FormTuple) -> float:
-    return float(sum(np.trace(x).real for x in forms.values()))
-
-
-def _normalize_trace(forms: FormTuple) -> FormTuple:
-    t = _trace_sum(forms)
+def _unit_trace(x: np.ndarray) -> np.ndarray:
+    """The Hermitian part of a form array, scaled to trace one."""
+    x = (x + x.conj().T) / 2
+    t = float(np.trace(x).real)
     if t <= 0:
         raise NumericError("form tuple has nonpositive total trace")
-    return {a: x / t for a, x in forms.items()}
+    return x / t
 
 
-def _symmetrize(forms: FormTuple) -> FormTuple:
-    return {a: (x + x.conj().T) / 2 for a, x in forms.items()}
-
-
-def _snorm(x: np.ndarray) -> float:
-    return 0.0 if x.size == 0 else float(np.linalg.norm(x, 2))
-
-
-def _residual(sys: MatrixSystem, rho: float, forms: FormTuple) -> float:
-    img = apply_transfer(sys, forms)
-    num = max(
-        _snorm(img[a] - rho * forms[a]) for a in sys.alphabet.letters
-    )
-    scale = max(_snorm(forms[a]) for a in forms)
-    return num / max(scale, _TINY)
-
-
-def _psd_tuple(forms: FormTuple, tol: float = 1e-9) -> bool:
-    scale = max(_snorm(x) for x in forms.values())
+def _certified(sys: MatrixSystem, rho: float, x: np.ndarray, rtol: float) -> bool:
+    """Whether the form array ``x`` is positive semidefinite up to
+    ``_PSD_TOL`` and an eigenvector for ``rho`` up to a residual of ``rtol``,
+    both relative to ``|x|``."""
+    scale = _snorm(x)
     if scale == 0.0:
         return False
-    return all(is_psd(x / scale, tol) for x in forms.values())
+    return is_psd(x / scale, _PSD_TOL) and (
+        _snorm(_transfer(sys, x) - rho * x) / scale <= rtol
+    )
 
 
 def _cone_eigenpair(
     sys: MatrixSystem, tol: float
-) -> tuple[float, FormTuple] | None:
+) -> tuple[float, np.ndarray] | None:
     """Power iteration in the positive semidefinite cone, stopped by the
-    Collatz–Wielandt bracket; ``None`` when it cannot certify a pair."""
-    letters = [a for a in sys.alphabet.letters if sys.dims[a] > 0]
-    x = _identity_tuple(sys)
+    Collatz–Wielandt bracket; ``None`` when it cannot certify a pair.
+
+    An iterate counts as singular when its smallest eigenvalue is at most
+    ``_DEFINITE_RTOL`` of its largest over the whole array, not letterwise:
+    one ``eigh`` resolves each block only to rounding of the largest one.
+    """
+    x = np.eye(sys.total_dim, dtype=complex)
     for _ in range(_CONE_ITERATIONS):
-        y = apply_transfer(sys, x)
-        lo, hi = np.inf, 0.0
-        for a in letters:
-            w, v = np.linalg.eigh(x[a])
-            if w[0] <= _DEFINITE_RTOL * w[-1]:
-                return None
-            # s* y s is unitarily similar to x^{-1/2} y x^{-1/2}.
-            s = v / np.sqrt(w)
-            e = np.linalg.eigvalsh(s.conj().T @ y[a] @ s)
-            lo, hi = min(lo, e[0]), max(hi, e[-1])
+        y = _transfer(sys, x)
+        w, v = np.linalg.eigh(x)
+        if w[0] <= _DEFINITE_RTOL * w[-1]:
+            return None
+        # s* y s is unitarily similar to the block-diagonal x^{-1/2} y x^{-1/2},
+        # whose spectrum is the union of the letterwise spectra.
+        s = v / np.sqrt(w)
+        e = np.linalg.eigvalsh(s.conj().T @ y @ s)
+        lo, hi = e[0], e[-1]
         if hi - lo <= _BRACKET_RTOL * hi:
             rho = (lo + hi) / 2
             if rho <= tol:
                 # The dense path reports such radii as zero.
                 return None
-            forms = _normalize_trace(_symmetrize(x))
-            if _psd_tuple(forms, _PSD_TOL) and _residual(
-                sys, rho, forms
-            ) <= max(tol, _RESIDUAL_FLOOR) * max(1.0, rho):
+            forms = _unit_trace(x)
+            if _certified(sys, rho, forms, max(tol, _RESIDUAL_FLOOR) * max(1.0, rho)):
                 return float(rho), forms
             return None
-        t = _trace_sum(y)
+        t = float(np.trace(y).real)
         if not t > 0:
             return None
-        x = {a: m / t for a, m in y.items()}
+        x = y / t
     return None
 
 
-def _nilpotent_eigentuple(
-    sys: MatrixSystem, mat: np.ndarray, layout: _HermitianLayout
-) -> FormTuple:
+def _nilpotent_eigentuple(mat: np.ndarray, layout: _HermitianLayout) -> np.ndarray:
     # With spectral radius zero the operator is nilpotent; the last nonzero
     # iterate of the identity tuple is positive semidefinite and killed by
     # the next step, hence an eigenvector for eigenvalue zero.
-    v = layout.to_vector(_identity_tuple(sys))
-    prev = v
+    prev = layout.to_vector(np.eye(layout.total_dim))
     for _ in range(layout.size + 1):
         nxt = mat @ prev
         if np.linalg.norm(nxt) <= _VANISH_RTOL * max(1.0, np.linalg.norm(prev)):
-            return _symmetrize(layout.from_vector(prev))
+            return layout.from_vector(prev)
         prev = nxt
     raise NumericError("transfer operator looked nilpotent but never vanished")
 
 
-def _dense_eigenpair(sys: MatrixSystem, tol: float) -> tuple[float, FormTuple]:
+def _dense_eigenpair(sys: MatrixSystem, tol: float) -> tuple[float, np.ndarray]:
     mat, layout = transfer_matrix(sys)
     evals, evecs = np.linalg.eig(mat)
     rho = float(np.max(np.abs(evals))) if evals.size else 0.0
 
     if rho <= tol:
-        forms = _normalize_trace(_nilpotent_eigentuple(sys, mat, layout))
-        return 0.0, forms
+        return 0.0, _unit_trace(_nilpotent_eigentuple(mat, layout))
 
     # Real eigenvalues near the spectral radius, best first.
     order = np.argsort(-evals.real)
@@ -253,23 +236,20 @@ def _dense_eigenpair(sys: MatrixSystem, tol: float) -> tuple[float, FormTuple]:
         real_part = vec.real if np.linalg.norm(vec.real) >= np.linalg.norm(
             vec.imag
         ) else vec.imag
-        forms = _symmetrize(layout.from_vector(real_part))
-        t = _trace_sum(forms)
+        x = layout.from_vector(real_part)
+        t = float(np.trace(x).real)
         if abs(t) < _TRACE_FLOOR:
             continue
-        forms = {a: x / t for a, x in forms.items()}
-        if not _psd_tuple(forms, _PSD_TOL):
-            continue
-        forms = _normalize_trace(forms)
-        if _residual(sys, lam.real, forms) <= max(tol, _RESIDUAL_FLOOR) * max(
-            1.0, rho
+        forms = _unit_trace(x / t)
+        if _certified(
+            sys, lam.real, forms, max(tol, _RESIDUAL_FLOOR) * max(1.0, rho)
         ):
             return float(lam.real), forms
 
     # Defective or numerically clustered peripheral spectrum: averaged power
     # iteration from the identity tuple stays in the cone and converges to a
     # leading eigenvector.
-    v = layout.to_vector(_identity_tuple(sys))
+    v = layout.to_vector(np.eye(layout.total_dim))
     v /= np.linalg.norm(v)
     acc = np.zeros_like(v)
     lam_est = rho
@@ -282,16 +262,12 @@ def _dense_eigenpair(sys: MatrixSystem, tol: float) -> tuple[float, FormTuple]:
         v = w / nw
         acc += v
         if it % 50 == 0:
-            cand = acc / np.linalg.norm(acc)
-            forms = _symmetrize(layout.from_vector(cand))
             try:
-                forms = _normalize_trace(forms)
+                forms = _unit_trace(layout.from_vector(acc / np.linalg.norm(acc)))
             except NumericError:
                 continue
-            if _psd_tuple(forms, _PSD_TOL) and _residual(sys, rho, forms) <= max(
-                tol, _AVERAGED_RESIDUAL_FLOOR
-            ):
-                return rho, _normalize_trace(forms)
+            if _certified(sys, rho, forms, max(tol, _AVERAGED_RESIDUAL_FLOOR)):
+                return rho, forms
     raise NumericError(
         f"no certified leading eigenpair (spectral radius {rho:.6e}, "
         f"last estimate {lam_est:.6e})"
@@ -308,10 +284,8 @@ def pf_eigenpair(sys: MatrixSystem, tol: float = 1e-9) -> tuple[float, FormTuple
     """
     if sys.total_dim == 0:
         raise InputError("the zero system has no leading eigenpair")
-    pair = _cone_eigenpair(sys, tol)
-    if pair is not None:
-        return pair
-    return _dense_eigenpair(sys, tol)
+    rho, x = _cone_eigenpair(sys, tol) or _dense_eigenpair(sys, tol)
+    return rho, {a: x[s, s] for a, s in sys._slices.items()}
 
 
 def normalize_to_compatible(

@@ -99,7 +99,9 @@ class MatrixSystem:
     empty.
     """
 
-    __slots__ = ("alphabet", "dims", "_H", "_B", "_slices", "_stored")
+    __slots__ = (
+        "alphabet", "dims", "_H", "_B", "_slices", "_stored", "_same", "_norms"
+    )
 
     def __init__(
         self,
@@ -146,6 +148,10 @@ class MatrixSystem:
         self._stored = dict.fromkeys(
             (b, a) for a in letters for b in letters if H[sl[b], sl[a]].any()
         )
+        # Where row and column coordinates belong to the same letter.
+        owner = np.repeat(np.arange(len(letters)), [dims[a] for a in letters])
+        self._same = owner[:, None] == owner[None, :]
+        self._norms: dict[tuple[str, str], float] | None = None
 
     @classmethod
     def _unchecked(
@@ -204,6 +210,14 @@ class MatrixSystem:
         :meth:`pairs`."""
         return self._stored.keys()
 
+    def _block_norms(self) -> dict[tuple[str, str], float]:
+        """The 2-norm of each stored transfer matrix, taken on first use."""
+        if self._norms is None:
+            self._norms = {
+                (b, a): float(np.linalg.norm(self.H(b, a), 2)) for b, a in self._stored
+            }
+        return self._norms
+
     @property
     def total_dim(self) -> int:
         return self._H.shape[0]
@@ -231,13 +245,24 @@ class MatrixSystem:
         return f"MatrixSystem({d})"
 
 
+def _snorm(x: np.ndarray) -> float:
+    """Spectral norm, zero for an empty array; for a block-diagonal array
+    the largest norm of a block."""
+    return 0.0 if x.size == 0 else float(np.linalg.norm(x, 2))
+
+
+def _transfer(sys: MatrixSystem, x: np.ndarray) -> np.ndarray:
+    """One transfer step on a block-diagonal form array: the diagonal
+    blocks of ``H* x H``."""
+    return np.where(sys._same, sys._H.conj().T @ x @ sys._H, 0)
+
+
 def apply_transfer(
     sys: MatrixSystem, forms: Mapping[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
     """One transfer step ``(X_a)_a -> (sum_b H(b,a)* X_b H(b,a))_a``: pull
     each form back along the outgoing matrices."""
-    x = _blockdiag([forms[a] for a in sys.alphabet.letters])
-    img = sys._H.conj().T @ x @ sys._H
+    img = _transfer(sys, _blockdiag([forms[a] for a in sys.alphabet.letters]))
     return {a: img[s, s] for a, s in sys._slices.items()}
 
 
@@ -247,15 +272,7 @@ def compatibility_defect(sys: MatrixSystem) -> float:
     ``max_a || B_a - sum_b H(b,a)* B_b H(b,a) ||_2``; zero exactly when the
     forms reproduce themselves under one transfer step.
     """
-    gap = sys._B - sys._H.conj().T @ sys._B @ sys._H
-    return max(
-        (
-            float(np.linalg.norm(gap[s, s], 2))
-            for a, s in sys._slices.items()
-            if sys.dims[a]
-        ),
-        default=0.0,
-    )
+    return _snorm(sys._B - _transfer(sys, sys._B))
 
 
 def _check_compatibility_kept(
@@ -440,25 +457,24 @@ def invariance_defect(sys: MatrixSystem, sub: Subsystem) -> float:
     resid = img - w @ (w.conj().T @ img)
     rows, cols = sys._slices, _layout(sys.alphabet, sub.dims())
     worst = 0.0
-    for b, a in sys.stored_pairs():
+    for (b, a), norm in sys._block_norms().items():
         r = resid[rows[b], cols[a]]
         if r.size:
-            scale = max(1.0, float(np.linalg.norm(sys.H(b, a), 2)))
-            worst = max(worst, float(np.linalg.norm(r, 2)) / scale)
+            worst = max(worst, float(np.linalg.norm(r, 2)) / max(1.0, norm))
     return worst
 
 
 def _compressed(
     sys: MatrixSystem,
     basis: Mapping[str, np.ndarray],
-    forms: Mapping[str, np.ndarray] | None = None,
+    forms: np.ndarray | None = None,
 ) -> MatrixSystem:
     """The system ``Q* H Q`` with forms ``Q* B Q`` for the block-diagonal
-    ``Q`` of letterwise column bases; ``forms`` replaces the system's own
-    forms before the compression."""
+    ``Q`` of letterwise column bases; the block-diagonal ``forms`` replaces
+    the system's own forms before the compression."""
     letters = sys.alphabet.letters
     q = _blockdiag([basis[a] for a in letters])
-    f = sys._B if forms is None else _blockdiag([forms[a] for a in letters])
+    f = sys._B if forms is None else forms
     qh = q.conj().T
     dims = {a: basis[a].shape[1] for a in letters}
     return MatrixSystem._from_blocks(sys.alphabet, dims, qh @ sys._H @ q, qh @ f @ q)

@@ -5,6 +5,8 @@ to a and the second to ab; every frontier set, dimension, and transported
 matrix entry below was computed by hand from the cone-embedding rules.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -273,3 +275,23 @@ def test_intertwiner_equivariance(ab_map):
         )
         assert lhs.depth == rhs.depth
         assert functions_close(lhs, rhs, tol=1e-8)
+
+
+def test_frontiers_are_searched_once_per_map(monkeypatch):
+    changegen = importlib.import_module("freemult.changegen")
+    searched = []
+    inner = changegen.compute_Y
+
+    def counted(gm, z):
+        searched.append(str(z))
+        return inner(gm, z)
+
+    monkeypatch.setattr(changegen, "compute_Y", counted)
+    gm = GeneratorMap(AB, AB, {"a": "a", "b": "ab"})
+    sys0 = make_spherical(0.0)
+    out = transport_system(gm, sys0)
+    f = shadow(sys0, AB.word("a"), [1.0])
+    first = intertwine_changegen(gm, sys0, f, transported=out)
+    again = intertwine_changegen(gm, sys0, f, transported=out)
+    assert functions_close(first, again, tol=0.0)
+    assert sorted(searched) == sorted(AB.letters)

@@ -25,8 +25,10 @@ from freemult import (
     perron,
     transfer_matrix,
 )
+from freemult.system import _blockdiag, is_psd
 
 from .conftest import AB, _pairs, make_spherical, random_system
+from .test_system import close, psd, ref_apply_transfer, ref_compatibility_defect
 
 
 def dense_rho_oracle(sys):
@@ -208,13 +210,14 @@ def test_transfer_matrix_matches_reference_on_mixed_dims(rng):
         assert np.max(np.abs(M - ref), initial=0.0) <= 1e-13 * max(
             1.0, np.max(np.abs(ref), initial=0.0)
         )
-        # the coordinates themselves agree with the per-entry loops
+        # the coordinates of block-diagonal arrays agree with the per-entry
+        # loops on the blocks
         forms = apply_transfer(sys0, {a: np.eye(dims[a]) for a in AB.letters})
-        v = layout.to_vector(forms)
+        v = layout.to_vector(_blockdiag([forms[a] for a in AB.letters]))
         assert np.array_equal(v, reference_to_vector(sys0, forms))
         back = layout.from_vector(v)
         ref_back = reference_from_vector(sys0, v)
-        assert all(np.array_equal(back[a], ref_back[a]) for a in AB.letters)
+        assert np.array_equal(back, _blockdiag([ref_back[a] for a in AB.letters]))
 
 
 class CountDense:
@@ -301,3 +304,101 @@ def test_fallback_on_bipartite_system(monkeypatch):
     rho, forms = pf_eigenpair(sys0)
     assert dense.calls == 1
     assert_eigenpair(sys0, rho, forms)
+
+
+# ------------------------------------ block-diagonal cone iteration against letters
+
+
+def reference_cone_eigenpair(sys, tol=1e-9):
+    """The per-letter cone iteration that the block-diagonal one replaced:
+    an ``eigh`` and an ``eigvalsh`` per letter and iteration, a letterwise
+    singular test and per-letter certificate checks.  ``None`` where it
+    hands over to the dense solver."""
+    letters = [a for a in sys.alphabet.letters if sys.dims[a] > 0]
+    x = {a: np.eye(sys.dims[a], dtype=complex) for a in sys.alphabet.letters}
+    for _ in range(perron._CONE_ITERATIONS):
+        y = ref_apply_transfer(sys, x)
+        lo, hi = np.inf, 0.0
+        for a in letters:
+            w, v = np.linalg.eigh(x[a])
+            if w[0] <= perron._DEFINITE_RTOL * w[-1]:
+                return None
+            s = v / np.sqrt(w)
+            e = np.linalg.eigvalsh(s.conj().T @ y[a] @ s)
+            lo, hi = min(lo, e[0]), max(hi, e[-1])
+        if hi - lo <= perron._BRACKET_RTOL * hi:
+            rho = (lo + hi) / 2
+            if rho <= tol:
+                return None
+            forms = {a: (m + m.conj().T) / 2 for a, m in x.items()}
+            t = sum(np.trace(m).real for m in forms.values())
+            forms = {a: m / t for a, m in forms.items()}
+            scale = max(np.linalg.norm(forms[a], 2) for a in letters)
+            img = ref_apply_transfer(sys, forms)
+            resid = max(np.linalg.norm(img[a] - rho * forms[a], 2) for a in letters)
+            if all(is_psd(m / scale, perron._PSD_TOL) for m in forms.values()) and (
+                resid / scale <= max(tol, perron._RESIDUAL_FLOOR) * max(1.0, rho)
+            ):
+                return float(rho), forms
+            return None
+        t = sum(np.trace(m).real for m in y.values())
+        if not t > 0:
+            return None
+        x = {a: m / t for a, m in y.items()}
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.fixed_dictionaries({a: st.integers(0, 8) for a in AB.letters}),
+)
+def test_block_cone_matches_per_letter_reference(seed, dims):
+    if not any(dims.values()):
+        return
+    rng = np.random.default_rng(seed)
+    sys0 = gaussian_system(rng, dims)
+
+    # the dict wrappers against the per-pair loops, on the same system
+    forms = {a: psd(rng, dims[a]) for a in AB.letters}
+    got, want = apply_transfer(sys0, forms), ref_apply_transfer(sys0, forms)
+    assert all(close(got[a], want[a]) for a in AB.letters)
+    assert close(compatibility_defect(sys0), ref_compatibility_defect(sys0))
+
+    got = perron._cone_eigenpair(sys0, 1e-9)
+    want = reference_cone_eigenpair(sys0)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    (rho, x), (rho_ref, ref) = got, want
+    assert abs(rho - rho_ref) <= 1e-12 * rho_ref
+    for a, s in sys0._slices.items():
+        assert np.linalg.norm(x[s, s] - ref[a]) <= 1e-9
+    assert not np.any(x[~sys0._same])
+
+
+def test_singular_test_is_global(monkeypatch):
+    """A letter whose outgoing transfers are scaled by ``eps`` carries a form
+    about ``eps**2`` of the others'.  At 1e-4 the cone iteration still
+    certifies; at 1e-6 the form falls below ``_DEFINITE_RTOL`` of the
+    largest eigenvalue of the whole iterate and the dense solver answers."""
+    rng = np.random.default_rng(17)
+    dims = {a: 3 for a in AB.letters}
+    base = gaussian_system(rng, dims)
+    for eps, calls in ((1e-4, 0), (1e-6, 1)):
+        H = {
+            (b, a): base.H(b, a) * (eps if a == "a" else 1.0)
+            for b, a in base.stored_pairs()
+        }
+        sys0 = MatrixSystem(AB, dims, H, {a: np.eye(3) for a in AB.letters})
+        with pytest.MonkeyPatch.context() as mp:
+            dense = CountDense(mp)
+            rho, forms = pf_eigenpair(sys0)
+        assert dense.calls == calls
+        assert_eigenpair(sys0, rho, forms)
+        faint = np.linalg.norm(forms["a"], 2)
+        assert faint <= 10 * eps**2 * max(np.linalg.norm(forms[b], 2) for b in "AbB")
+        if calls == 0:
+            rho_ref, ref = reference_cone_eigenpair(sys0)
+            assert abs(rho - rho_ref) <= 1e-12 * rho_ref
+            assert all(np.linalg.norm(forms[a] - ref[a]) <= 1e-9 for a in AB.letters)

@@ -24,6 +24,8 @@ from freemult import (
     restrict_to_subsystem,
 )
 from freemult.system import (
+    _blockdiag,
+    _layout,
     apply_transfer,
     is_invariant_subsystem,
     orthogonal_complement,
@@ -226,6 +228,22 @@ def ref_invariance_defect(sys, sub):
     return worst
 
 
+def parent_invariance_defect(sys, sub):
+    """``invariance_defect`` as it was before the block norms were kept on
+    the system: every call takes the norm of every stored block again."""
+    w = _blockdiag([sub.basis[a] for a in sys.alphabet.letters])
+    img = sys._H @ w
+    resid = img - w @ (w.conj().T @ img)
+    rows, cols = sys._slices, _layout(sys.alphabet, sub.dims())
+    worst = 0.0
+    for b, a in sys.stored_pairs():
+        r = resid[rows[b], cols[a]]
+        if r.size:
+            scale = max(1.0, float(np.linalg.norm(sys.H(b, a), 2)))
+            worst = max(worst, float(np.linalg.norm(r, 2)) / scale)
+    return worst
+
+
 def ref_map_residual(source, target, J):
     worst = 0.0
     for b, a in source.pairs():
@@ -342,6 +360,7 @@ def test_block_storage_matches_per_pair_reference(case):
     )
     for s, w in ((sys1, sub), (sys0, loose)):
         assert close(invariance_defect(s, w), ref_invariance_defect(s, w))
+        assert invariance_defect(s, w) == parent_invariance_defect(s, w)
     assert invariance_defect(sys1, sub) <= 1e-9
 
     restricted, emb = restrict_to_subsystem(sys1, sub)
@@ -365,3 +384,25 @@ def test_block_storage_matches_per_pair_reference(case):
 
     two = direct_sum(sys1, other)
     assert same_system(two, *ref_direct_sum(sys1, other))
+
+
+def test_block_norms_are_taken_once_per_system(rng, monkeypatch):
+    sys0 = random_system(rng)
+    sub = Subsystem.from_spanning(
+        AB, {a: cmat(rng, sys0.dims[a], 1) for a in AB.letters}
+    )
+    want = parent_invariance_defect(sys0, sub)
+    shapes = []
+    norm = np.linalg.norm
+
+    def counted(x, *args, **kwargs):
+        shapes.append(np.shape(x))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    assert invariance_defect(sys0, sub) == want
+    first = len(shapes)
+    assert invariance_defect(sys0, sub) == want
+    # the second call takes one norm per residual block and no block norm
+    stored = len(sys0.stored_pairs())
+    assert (first, len(shapes) - first) == (2 * stored, stored)
