@@ -7,7 +7,8 @@ that cone; the leading eigenpair drives the normalization of a system to a
 compatible one.
 
 :func:`pf_eigenpair` first runs a power iteration inside the cone, from the
-identity tuple.  Inside this module a form tuple is one block-diagonal
+system's own forms when they are definite and from the identity tuple
+otherwise.  Inside this module a form tuple is one block-diagonal
 ``total_dim x total_dim`` array in the system's block layout, and a transfer
 step is the diagonal blocks of ``H* X H``; only :func:`pf_eigenpair` hands
 out a dict of blocks.  For a positive definite iterate ``X`` the
@@ -16,10 +17,13 @@ Collatz–Wielandt bracket ``alpha = lambda_min(X^{-1/2} T(X) X^{-1/2})`` and
 letterwise spectra, so these are the extremes over the letters) satisfies
 ``alpha <= rho <= beta``; once it closes to a relative width of
 ``_BRACKET_RTOL`` the spectral radius is certified, and ``X`` is an
-eigentuple up to a residual of half the width, relative to ``|X|``.  When
-the bracket cannot close — the eigentuple lies on the boundary of the cone
-(the smallest eigenvalue of an iterate falls to ``_DEFINITE_RTOL`` of its
-largest), the operator is nilpotent, the peripheral spectrum holds more
+eigentuple up to a residual of half the width, relative to ``|X|``.  The
+bracket costs two eigensolves of the whole iterate, against one matrix
+product for a transfer step, so it is checked every ``_CHECK_STRIDE``
+iterations, and at every iteration once it is within ``_CHECK_EVERY_RTOL``.
+When the bracket cannot close — the eigentuple lies on the boundary of the
+cone (the smallest eigenvalue of an iterate falls to ``_DEFINITE_RTOL`` of
+its largest), the operator is nilpotent, the peripheral spectrum holds more
 than ``rho``, or ``_CONE_ITERATIONS`` pass first — the dense eigensolver on
 :func:`transfer_matrix` decides.
 
@@ -42,6 +46,12 @@ FormTuple = dict[str, np.ndarray]
 
 # Relative width of the Collatz–Wielandt bracket that certifies rho.
 _BRACKET_RTOL = 1e-12
+# Cone iterations between bracket checks while the bracket is wide ...
+_CHECK_STRIDE = 8
+# ... and the relative width at which every later iteration is checked: near
+# _BRACKET_RTOL the width sits at its rounding floor and may fall below it
+# at one iteration only.
+_CHECK_EVERY_RTOL = 1e-9
 # Cone iterations allowed before the dense eigensolver takes over.
 _CONE_ITERATIONS = 1000
 # An iterate form whose smallest eigenvalue is at most this share of its
@@ -172,30 +182,59 @@ def _cone_eigenpair(
     """Power iteration in the positive semidefinite cone, stopped by the
     Collatz–Wielandt bracket; ``None`` when it cannot certify a pair.
 
-    An iterate counts as singular when its smallest eigenvalue is at most
-    ``_DEFINITE_RTOL`` of its largest over the whole array, not letterwise:
-    one ``eigh`` resolves each block only to rounding of the largest one.
+    The iteration starts from the system's own forms when they are definite
+    (smallest eigenvalue above ``_DEFINITE_RTOL`` of the largest), else from
+    the identity.  Every definite start converges to the same eigentuple;
+    the forms start saves the iterations when the forms already are one.
+    That holds for a compatible system and for its quotient ``(Q* H Q,
+    Q* B Q)`` by an invariant subspace ``W``, realized on the Euclidean
+    complement ``Q`` with projector ``P = Q Q*``, when that complement is
+    ``B``-orthogonal to ``W`` (``P B (1 - P) = 0``).  Compatibility then
+    gives ``T_q(Q* B Q) = Q* B Q - Q* H* (1 - P) B (1 - P) H Q``, so the
+    transfer operator only lowers the compressed forms, and a definite tuple
+    that it lowers is an eigentuple when the radius is one and the left
+    eigentuple is definite.  Letterwise unitary disguises of direct sums
+    keep the complement ``B``-orthogonal.  Without that condition the cross
+    terms ``Q* H* (P B (1 - P) + (1 - P) B P) H Q`` enter too, and the
+    compressed forms start about as far from the eigentuple as the
+    identity does.
+
+    The bracket is checked at the first iteration, so a start that is an
+    eigentuple certifies in one step, then at the schedule of the module
+    docstring.  An iterate counts as singular when its smallest eigenvalue
+    is at most ``_DEFINITE_RTOL`` of its largest over the whole array, not
+    letterwise: one ``eigh`` resolves each block only to rounding of the
+    largest one.
     """
-    x = np.eye(sys.total_dim, dtype=complex)
-    for _ in range(_CONE_ITERATIONS):
+    x = sys._B
+    w = np.linalg.eigvalsh(x)
+    if w[0] <= _DEFINITE_RTOL * w[-1]:
+        x = np.eye(sys.total_dim, dtype=complex)
+    every = False
+    for k in range(_CONE_ITERATIONS):
         y = _transfer(sys, x)
-        w, v = np.linalg.eigh(x)
-        if w[0] <= _DEFINITE_RTOL * w[-1]:
-            return None
-        # s* y s is unitarily similar to the block-diagonal x^{-1/2} y x^{-1/2},
-        # whose spectrum is the union of the letterwise spectra.
-        s = v / np.sqrt(w)
-        e = np.linalg.eigvalsh(s.conj().T @ y @ s)
-        lo, hi = e[0], e[-1]
-        if hi - lo <= _BRACKET_RTOL * hi:
-            rho = (lo + hi) / 2
-            if rho <= tol:
-                # The dense path reports such radii as zero.
+        if every or k % _CHECK_STRIDE == 0:
+            w, v = np.linalg.eigh(x)
+            if w[0] <= _DEFINITE_RTOL * w[-1]:
                 return None
-            forms = _unit_trace(x)
-            if _certified(sys, rho, forms, max(tol, _RESIDUAL_FLOOR) * max(1.0, rho)):
-                return float(rho), forms
-            return None
+            # s* y s is unitarily similar to the block-diagonal x^{-1/2} y x^{-1/2},
+            # whose spectrum is the union of the letterwise spectra.
+            s = v / np.sqrt(w)
+            e = np.linalg.eigvalsh(s.conj().T @ y @ s)
+            lo, hi = e[0], e[-1]
+            if hi - lo <= _BRACKET_RTOL * hi:
+                rho = (lo + hi) / 2
+                if rho <= tol:
+                    # The dense path reports such radii as zero.
+                    return None
+                forms = _unit_trace(x)
+                if _certified(
+                    sys, rho, forms, max(tol, _RESIDUAL_FLOOR) * max(1.0, rho)
+                ):
+                    return float(rho), forms
+                return None
+            if hi - lo <= _CHECK_EVERY_RTOL * hi:
+                every = True
         t = float(np.trace(y).real)
         if not t > 0:
             return None
@@ -278,8 +317,12 @@ def pf_eigenpair(sys: MatrixSystem, tol: float = 1e-9) -> tuple[float, FormTuple
     """Spectral radius of the transfer operator and a positive semidefinite
     eigentuple, normalized to total trace one.
 
-    The certified cone iteration answers when it can; the dense eigensolver
-    covers the rest.  Raises :class:`NumericError` when neither finds a
+    The certified cone iteration answers when it can, starting from the
+    system's forms when they are definite (one bracket check when they are
+    already an eigentuple, as for a compatible system) and checking the
+    bracket every ``_CHECK_STRIDE`` iterations until it is within
+    ``_CHECK_EVERY_RTOL``, then at every one; the dense eigensolver covers
+    the rest.  Raises :class:`NumericError` when neither finds a
     certified pair.
     """
     if sys.total_dim == 0:

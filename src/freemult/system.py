@@ -46,11 +46,22 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+def _is_hermitian(m: np.ndarray, tol: float) -> bool:
+    """Whether ``||m - m*||_2 <= tol * max(1, ||m||_2)``.  The Frobenius norm
+    of the skew part bounds its 2-norm, so the two SVD-based norms are taken
+    only when it exceeds ``tol``."""
+    skew = m - m.conj().T
+    return bool(
+        np.linalg.norm(skew) <= tol
+        or np.linalg.norm(skew, 2) <= tol * max(1.0, np.linalg.norm(m, 2))
+    )
+
+
 def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
     """Positive semidefiniteness up to a relative eigenvalue tolerance."""
     if m.size == 0:
         return True
-    if np.linalg.norm(m - m.conj().T, 2) > tol * max(1.0, np.linalg.norm(m, 2)):
+    if not _is_hermitian(m, tol):
         return False
     w = np.linalg.eigvalsh(_hermitian_part(m))
     scale = max(1.0, float(w[-1]))
@@ -60,9 +71,7 @@ def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
 def _checked_form(m: np.ndarray, a: str) -> np.ndarray:
     """The Hermitian part of a form, after checking it is Hermitian and
     positive semidefinite."""
-    if m.size and np.linalg.norm(m - m.conj().T, 2) > 1e-12 * max(
-        1.0, np.linalg.norm(m, 2)
-    ):
+    if not _is_hermitian(m, 1e-12):
         raise ValidationError(f"B[{a!r}] is not Hermitian")
     m = _hermitian_part(m)
     if not is_psd(m):

@@ -26,6 +26,7 @@ from freemult import (
     map_residual,
     maximal_invariant,
     normalize_to_compatible,
+    perron,
     pf_eigenpair,
     quotient_system,
     strip_null_directions,
@@ -361,3 +362,66 @@ def test_decompose_measures_its_input_once(monkeypatch, rng):
 
     assert len(decompose(sys0)) == 2
     assert sum(s is sys0 for s in calls) == 1
+
+
+def planted_sum(rng, n_parts):
+    """Certified irreducible pieces with up to 3 dims per letter and their
+    block-diagonal direct sum."""
+    pieces = [certified_irreducible(rng, max_dim=3) for _ in range(n_parts)]
+    total = pieces[0]
+    for p in pieces[1:]:
+        total = direct_sum(total, p)
+    return pieces, total
+
+
+def test_quotient_solves_start_from_compressed_forms(monkeypatch, rng):
+    # Under letterwise unitaries the complement of the invariant part stays
+    # B-orthogonal to it, so the compressed forms are the quotient's
+    # eigentuple: one transfer step for the bracket, one for the certificate.
+    transfers, per_solve = [], []
+    transfer, solve = perron._transfer, decompose_module.pf_eigenpair
+
+    def counted_transfer(*args):
+        transfers.append(1)
+        return transfer(*args)
+
+    def counted_solve(quot, *args):
+        before = len(transfers)
+        out = solve(quot, *args)
+        per_solve.append(len(transfers) - before)
+        return out
+
+    def forbidden(*args):
+        raise AssertionError("a quotient solve fell back to the dense solver")
+
+    monkeypatch.setattr(perron, "_transfer", counted_transfer)
+    monkeypatch.setattr(perron, "_dense_eigenpair", forbidden)
+    monkeypatch.setattr(decompose_module, "pf_eigenpair", counted_solve)
+    for n_parts in (2, 3):
+        pieces, total = planted_sum(rng, n_parts)
+        J = SystemMap(AB, {a: random_unitary(rng, total.dims[a]) for a in AB.letters})
+        per_solve.clear()
+        assert_recovers(conjugate(total, J), pieces)
+        assert len(per_solve) == n_parts - 1
+        assert max(per_solve) <= 2
+
+
+def test_non_unitary_disguise_recovers_planted_dims(rng):
+    # Letterwise G = U D V with singular values spread 3 to 10 times: the
+    # quotient's Euclidean complement is no longer B-orthogonal to the
+    # invariant part, so its solves start away from the eigentuple.
+    for n_parts in (2, 3):
+        pieces, total = planted_sum(rng, n_parts)
+        G, Ginv = {}, {}
+        for a in AB.letters:
+            d = total.dims[a]
+            spread = rng.uniform(3.0, 10.0)
+            D = np.diag(np.geomspace(1.0, spread, d))
+            G[a] = random_unitary(rng, d) @ D @ random_unitary(rng, d)
+            Ginv[a] = np.linalg.inv(G[a])
+        H = {(b, a): G[b] @ total.H(b, a) @ Ginv[a] for b, a in _pairs(AB)}
+        B = {a: Ginv[a].conj().T @ total.B(a) @ Ginv[a] for a in AB.letters}
+        B = {a: (x + x.conj().T) / 2 for a, x in B.items()}
+        hidden = MatrixSystem(AB, total.dims, H, B)
+        assert compatibility_defect(hidden) <= 1e-9
+        assert_recovers(hidden, pieces)

@@ -25,7 +25,7 @@ from freemult import (
     perron,
     transfer_matrix,
 )
-from freemult.system import _blockdiag, is_psd
+from freemult.system import _blockdiag, _transfer, is_psd
 
 from .conftest import AB, _pairs, make_spherical, random_system
 from .test_system import close, psd, ref_apply_transfer, ref_compatibility_defect
@@ -402,3 +402,110 @@ def test_singular_test_is_global(monkeypatch):
             rho_ref, ref = reference_cone_eigenpair(sys0)
             assert abs(rho - rho_ref) <= 1e-12 * rho_ref
             assert all(np.linalg.norm(forms[a] - ref[a]) <= 1e-9 for a in AB.letters)
+
+
+def test_block_cone_certifies_where_per_letter_reference_stalls():
+    """The per-letter reference's bracket stalls above ``_BRACKET_RTOL`` for
+    all its iterations on this system; the block path certifies, and agrees
+    with the dense solver."""
+    sys0 = gaussian_system(
+        np.random.default_rng(4131703719), {"a": 0, "A": 5, "b": 0, "B": 1}
+    )
+    assert reference_cone_eigenpair(sys0) is None
+    got = perron._cone_eigenpair(sys0, 1e-9)
+    assert got is not None
+    rho, x = got
+    rho_dense, x_dense = perron._dense_eigenpair(sys0, 1e-9)
+    assert abs(rho - rho_dense) <= 1e-12 * rho_dense
+    assert abs(rho - dense_rho_oracle(sys0)) <= 1e-12 * rho_dense
+    assert np.linalg.norm(x - x_dense) <= 1e-9
+
+
+# ------------------------------------------- strided bracket checks and the start
+
+
+def reference_every_step_cone_eigenpair(sys, tol=1e-9):
+    """The block-diagonal cone iteration that checks the bracket at every
+    iteration, from the identity."""
+    x = np.eye(sys.total_dim, dtype=complex)
+    for _ in range(perron._CONE_ITERATIONS):
+        y = _transfer(sys, x)
+        w, v = np.linalg.eigh(x)
+        if w[0] <= perron._DEFINITE_RTOL * w[-1]:
+            return None
+        s = v / np.sqrt(w)
+        e = np.linalg.eigvalsh(s.conj().T @ y @ s)
+        lo, hi = e[0], e[-1]
+        if hi - lo <= perron._BRACKET_RTOL * hi:
+            rho = (lo + hi) / 2
+            if rho <= tol:
+                return None
+            forms = perron._unit_trace(x)
+            rtol = max(tol, perron._RESIDUAL_FLOOR) * max(1.0, rho)
+            if perron._certified(sys, rho, forms, rtol):
+                return float(rho), forms
+            return None
+        t = float(np.trace(y).real)
+        if not t > 0:
+            return None
+        x = y / t
+    return None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.fixed_dictionaries({a: st.integers(0, 12) for a in AB.letters}),
+)
+def test_strided_checks_match_every_step_reference(seed, dims):
+    if not any(dims.values()):
+        return
+    # identity forms: both loops run the same iterates
+    sys0 = gaussian_system(np.random.default_rng(seed), dims)
+    got = perron._cone_eigenpair(sys0, 1e-9)
+    want = reference_every_step_cone_eigenpair(sys0)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    (rho, x), (rho_ref, ref) = got, want
+    assert abs(rho - rho_ref) <= 1e-12 * rho_ref
+    assert np.linalg.norm(x - ref) <= 1e-9
+
+
+def test_strided_checks_halve_the_eigensolves(monkeypatch):
+    sys0 = gaussian_system(np.random.default_rng(3), {a: 12 for a in AB.letters})
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    rho_ref, _ = reference_every_step_cone_eigenpair(sys0)
+    ref_calls = len(calls)
+    calls.clear()
+    rho, _ = perron._cone_eigenpair(sys0, 1e-9)
+    assert abs(rho - rho_ref) <= 1e-12 * rho_ref
+    assert 0 < 2 * len(calls) <= ref_calls
+
+
+def test_compatible_forms_certify_in_one_step(monkeypatch, rng):
+    # A normalized system starts from its own forms, an eigentuple already:
+    # one transfer step for the bracket and one for the certificate.
+    sys0, _ = normalize_to_compatible(gaussian_system(rng, {a: 4 for a in AB.letters}))
+    calls = []
+    transfer = perron._transfer
+
+    def counted(*args):
+        calls.append(1)
+        return transfer(*args)
+
+    monkeypatch.setattr(perron, "_transfer", counted)
+    dense = CountDense(monkeypatch)
+    rho, forms = pf_eigenpair(sys0)
+    assert (dense.calls, len(calls)) == (0, 2)
+    assert abs(rho - 1.0) <= 1e-12
+    trace = sum(np.trace(sys0.B(a)).real for a in AB.letters)
+    for a in AB.letters:
+        assert np.linalg.norm(forms[a] - sys0.B(a) / trace) <= 1e-12

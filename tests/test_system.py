@@ -25,9 +25,12 @@ from freemult import (
 )
 from freemult.system import (
     _blockdiag,
+    _checked_form,
+    _is_hermitian,
     _layout,
     apply_transfer,
     is_invariant_subsystem,
+    is_psd,
     orthogonal_complement,
 )
 
@@ -406,3 +409,68 @@ def test_block_norms_are_taken_once_per_system(rng, monkeypatch):
     # the second call takes one norm per residual block and no block norm
     stored = len(sys0.stored_pairs())
     assert (first, len(shapes) - first) == (2 * stored, stored)
+
+
+# ------------------------------------------ Hermitian check against the SVD test
+
+
+def ref_is_hermitian(m, tol):
+    """The test before the Frobenius shortcut: both 2-norms, always."""
+    return bool(
+        np.linalg.norm(m - m.conj().T, 2) <= tol * max(1.0, np.linalg.norm(m, 2))
+    )
+
+
+def ref_is_psd(m, tol):
+    if not ref_is_hermitian(m, tol):
+        return False
+    w = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    return bool(w[0] >= -tol * max(1.0, float(w[-1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 6),
+    skew=st.floats(-14.0, -10.0),
+    scale=st.floats(-3.0, 3.0),
+    tol=st.sampled_from([1e-12, 1e-9]),
+)
+def test_hermitian_shortcut_keeps_every_decision(seed, d, skew, scale, tol):
+    # A positive semidefinite part of 2-norm 10**scale (below and above one)
+    # plus a skew-Hermitian part of 10**skew of it: the shortcut and the old
+    # test agree, and so do is_psd and the form check built on them.
+    rng = np.random.default_rng(seed)
+    h, k = psd(rng, d), cmat(rng, d, d)
+    h = h * 10.0**scale / np.linalg.norm(h, 2)
+    k = k - k.conj().T
+    if np.linalg.norm(k) > 0:
+        k = k * 10.0 ** (scale + skew) / np.linalg.norm(k, 2)
+    m = h + k
+    assert _is_hermitian(m, tol) == ref_is_hermitian(m, tol)
+    assert is_psd(m, tol) == ref_is_psd(m, tol)
+    try:
+        _checked_form(m, "a")
+        accepted = True
+    except ValidationError:
+        accepted = False
+    want = ref_is_hermitian(m, 1e-12) and ref_is_psd((m + m.conj().T) / 2, 1e-9)
+    assert accepted == want
+
+
+def test_hermitian_forms_take_no_spectral_norm(rng, monkeypatch):
+    # Exactly Hermitian forms pass the Hermitian checks of construction on
+    # their Frobenius norm; the old test took two 2-norms per check.
+    dims = {a: 3 for a in AB.letters}
+    H = {(b, a): cmat(rng, 3, 3) for b, a in _pairs(AB)}
+    B = {a: psd(rng, 3) for a in AB.letters}
+    orders = []
+    norm = np.linalg.norm
+
+    def counted(x, *args, **kwargs):
+        orders.append(args[0] if args else kwargs.get("ord"))
+        return norm(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    MatrixSystem(AB, dims, H, B)
+    assert orders and 2 not in orders
