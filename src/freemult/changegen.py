@@ -32,6 +32,7 @@ from .errors import (
 from .multfunc import MultiplicativeFunction, evaluate, sample_then_refine
 from .subgroup import automaton_from_generators
 from .system import MatrixSystem, _assembled
+from .tolerances import COMPAT_TOL
 from .words import Alphabet, FiniteSubtree, Word, children, drop_last, last_letter
 from . import _kernel_py as _k
 
@@ -422,7 +423,7 @@ def _frontier_projection(
 
 
 def transport_system(
-    gm: GeneratorMap, sys: MatrixSystem, tol: float = 1e-8
+    gm: GeneratorMap, sys: MatrixSystem, tol: float = COMPAT_TOL
 ) -> MatrixSystem:
     """Re-express a system over the source alphabet as one over the target
     alphabet.

@@ -31,6 +31,7 @@ from .multfunc import act, inner_product, norm2
 from .perron import normalize_to_compatible, pf_eigenpair
 from .subgroup import FundamentalSubtree
 from .system import compatibility_defect
+from .tolerances import COMPAT_TOL, PF_TOL
 from .transport import induce_system, restrict_system
 
 
@@ -175,10 +176,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # The subcommands that take --tol, each with the default of the library
+    # function it calls.
+    tols = {
+        "check": COMPAT_TOL,
+        "pf": PF_TOL,
+        "normalize": PF_TOL,
+        "decompose": COMPAT_TOL,
+        "changegen": COMPAT_TOL,
+        "restrict": COMPAT_TOL,
+        "induce": COMPAT_TOL,
+    }
+
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
-        p.add_argument("--tol", type=float, default=1e-8, help="tolerance")
+        if name in tols:
+            p.add_argument("--tol", type=float, default=tols[name], help="tolerance")
         return p
 
     p = add("check", _cmd_check, "validate a system and report its defect")

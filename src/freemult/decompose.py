@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, InternalCheckError, ValidationError
-from .perron import _VANISH_RTOL, pf_eigenpair
+from .perron import pf_eigenpair
 from .system import (
     MatrixSystem,
     Subsystem,
@@ -45,32 +45,22 @@ from .system import (
     quotient_system,
     restrict_to_subsystem,
 )
-
-# Default bound on the compatibility defect of an input system.
-_COMPAT_TOL = 1e-8
-# Invariance residuals below this are treated as exact.
-_INV_TOL = 1e-7
-# Half-width of the band around one for quotient spectral radii.
-_RHO_BAND = 1e-8
-# A quotient spectral radius this far above one is an error, not rounding.
-_RHO_CEILING = 100 * _RHO_BAND
-# Eigenvalues of a generic loop operator closer than this, relative to the
-# spectral radius (or one), are taken as one eigenvalue.
-_EIG_CLUSTER_RTOL = 1e-8
-# Eigenvalues of the residual form within this of zero, relative to the
-# norm of the form (or one), span the splitting kernel.
-_KERNEL_RTOL = 1e-7
-# A residual-form eigenvalue below minus this many kernel cutoffs means the
-# residual form lost positivity.
-_POSITIVITY_SLACK = 10
-# Relative gap allowed between the two routes to a component's forms.
-_ROUTE_RTOL = 1e-6
-# Floor on the compatibility tolerance applied to emitted components.
-_COMPONENT_DEFECT_FLOOR = 1e-8
+from .tolerances import (
+    COMPAT_TOL,
+    COMPONENT_DEFECT_FLOOR,
+    DECOMPOSE_INV_TOL,
+    EIG_CLUSTER_RTOL,
+    KERNEL_RTOL,
+    POSITIVITY_SLACK,
+    RHO_BAND,
+    RHO_CEILING,
+    ROUTE_RTOL,
+    VANISH_RTOL,
+)
 
 
 def strip_null_directions(
-    sys: MatrixSystem, tol: float = _COMPAT_TOL
+    sys: MatrixSystem, tol: float = COMPAT_TOL
 ) -> tuple[MatrixSystem, Subsystem]:
     """Remove the letterwise kernels of the forms from a compatible system.
 
@@ -91,7 +81,7 @@ def _strip_null(sys: MatrixSystem) -> tuple[MatrixSystem, Subsystem, SystemMap]:
         sys.alphabet, {a: null_space(sys.B(a)) for a in sys.alphabet.letters}
     )
     try:
-        stripped, proj = quotient_system(sys, nulls, tol=_INV_TOL)
+        stripped, proj = quotient_system(sys, nulls, tol=DECOMPOSE_INV_TOL)
     except ValidationError as exc:
         raise InternalCheckError(
             f"form kernels of a compatible system must be invariant; {exc}"
@@ -190,7 +180,7 @@ def _annihilator(sub: Subsystem, sys: MatrixSystem) -> Subsystem:
 def _is_proper_invariant(sys: MatrixSystem, sub: Subsystem) -> bool:
     if sub.is_zero() or sub.is_full(sys):
         return False
-    return invariance_defect(sys, sub) <= _INV_TOL
+    return invariance_defect(sys, sub) <= DECOMPOSE_INV_TOL
 
 
 def _loop_algebra(sys: MatrixSystem, a: str) -> np.ndarray:
@@ -255,7 +245,7 @@ def find_proper_invariant(sys: MatrixSystem) -> Subsystem | None:
     adjoints = mats.conj().transpose(0, 2, 1)
     picked: list[complex] = []
     for lam in evals:
-        if any(abs(lam - mu) <= _EIG_CLUSTER_RTOL * scale for mu in picked):
+        if any(abs(lam - mu) <= EIG_CLUSTER_RTOL * scale for mu in picked):
             continue
         picked.append(complex(lam))
         # the singular vectors of the smallest singular value are an
@@ -305,7 +295,7 @@ def _maximal_containing(
     while True:
         w = _annihilator(z, sys)
         try:
-            quot, proj = quotient_system(sys, w, tol=_INV_TOL)
+            quot, proj = quotient_system(sys, w, tol=DECOMPOSE_INV_TOL)
         except ValidationError as exc:
             raise InternalCheckError(
                 f"annihilator of a dual-invariant subsystem must be invariant; {exc}"
@@ -348,7 +338,7 @@ def _split_off_component(
     bt = p.conj().T @ _blockdiag([forms_t[a] for a in al.letters]) @ p
     scale_bt = _snorm(bt)
     drift = _snorm(_transfer(sys, bt) - bt)
-    if drift > _INV_TOL * max(1.0, scale_bt):
+    if drift > DECOMPOSE_INV_TOL * max(1.0, scale_bt):
         raise InternalCheckError(
             f"pulled-back quotient eigentuple drifts under transfer: {drift:.3e}"
         )
@@ -357,7 +347,7 @@ def _split_off_component(
     # computed letterwise on the whitened pencil.
     lam_inv = 0.0
     for a, s in sl.items():
-        vanishing = not np.any(np.abs(bt[s, s]) > _VANISH_RTOL * max(1.0, scale_bt))
+        vanishing = not np.any(np.abs(bt[s, s]) > VANISH_RTOL * max(1.0, scale_bt))
         if sys.dims[a] == 0 or vanishing:
             continue
         evals, vecs = np.linalg.eigh(sys.B(a))
@@ -379,8 +369,8 @@ def _split_off_component(
             w0[a] = np.zeros((0, 0), dtype=complex)
             continue
         evals, vecs = np.linalg.eigh((r + r.conj().T) / 2)
-        cut = _KERNEL_RTOL * max(1.0, float(np.linalg.norm(sys.B(a), 2)))
-        if evals[0] < -cut * _POSITIVITY_SLACK:
+        cut = KERNEL_RTOL * max(1.0, float(np.linalg.norm(sys.B(a), 2)))
+        if evals[0] < -cut * POSITIVITY_SLACK:
             raise InternalCheckError(
                 f"residual form at {a!r} lost positivity: {evals[0]:.3e}"
             )
@@ -393,7 +383,7 @@ def _split_off_component(
             f"dimensions {expected}"
         )
     defect = invariance_defect(sys, w0_sub)
-    if defect > _INV_TOL:
+    if defect > DECOMPOSE_INV_TOL:
         raise InternalCheckError(
             f"splitting kernel must be invariant; defect {defect:.3e}"
         )
@@ -403,7 +393,7 @@ def _split_off_component(
     for a, s in sl.items():
         direct = w0[a].conj().T @ sys.B(a) @ w0[a]
         pulled = lam0 * (w0[a].conj().T @ bt[s, s] @ w0[a])
-        if direct.size and np.linalg.norm(direct - pulled, 2) > _ROUTE_RTOL * max(
+        if direct.size and np.linalg.norm(direct - pulled, 2) > ROUTE_RTOL * max(
             1.0, float(np.linalg.norm(sys.B(a), 2))
         ):
             raise InternalCheckError(
@@ -427,24 +417,24 @@ def _decompose_rec(
         return
     w, quot, proj = _maximal_containing(sys, first)
     rho_t, forms_t = pf_eigenpair(quot)
-    if rho_t > 1.0 + _RHO_CEILING:
+    if rho_t > 1.0 + RHO_CEILING:
         raise InternalCheckError(
             f"quotient spectral radius {rho_t} exceeds one; compatible systems "
             f"cannot do that"
         )
-    if rho_t >= 1.0 - _RHO_BAND:
+    if rho_t >= 1.0 - RHO_BAND:
         component, comp_embed, rest, rest_embed = _split_off_component(
             sys, w, proj, forms_t
         )
         out.append((component, embed.compose(comp_embed)))
     else:
         # Transient quotient: all weight lives on the invariant part.
-        rest, rest_embed = restrict_to_subsystem(sys, w, tol=_INV_TOL)
+        rest, rest_embed = restrict_to_subsystem(sys, w, tol=DECOMPOSE_INV_TOL)
     _decompose_rec(rest, embed.compose(rest_embed), out)
 
 
 def decompose(
-    sys: MatrixSystem, tol: float = _COMPAT_TOL
+    sys: MatrixSystem, tol: float = COMPAT_TOL
 ) -> list[tuple[MatrixSystem, SystemMap]]:
     """Decompose a compatible system into irreducible compatible summands.
 
@@ -467,10 +457,10 @@ def decompose(
     h_scale = max(sys._block_norms().values(), default=1.0)
     for comp, emb in out:
         cd = compatibility_defect(comp)
-        if cd > max(tol, _COMPONENT_DEFECT_FLOOR):
+        if cd > max(tol, COMPONENT_DEFECT_FLOOR):
             raise InternalCheckError(f"component left incompatible: defect {cd:.3e}")
         resid = map_residual(comp, sys, emb)
-        if resid > _INV_TOL * max(1.0, h_scale):
+        if resid > DECOMPOSE_INV_TOL * max(1.0, h_scale):
             raise InternalCheckError(
                 f"component embedding fails to intertwine: residual {resid:.3e}"
             )

@@ -44,6 +44,7 @@ import numpy as np
 
 from .errors import InputError, InternalCheckError, ResourceLimitError, ValidationError
 from .system import MatrixSystem, _carry
+from .tolerances import FUNCTIONS_CLOSE_TOL
 from .words import Alphabet, FiniteSubtree, Word, last_letter, sphere
 
 # Refinement depths beyond this fail fast; spheres grow geometrically.
@@ -474,7 +475,9 @@ def matrix_coefficient(
 
 
 def functions_close(
-    f: MultiplicativeFunction, g: MultiplicativeFunction, tol: float = 1e-9
+    f: MultiplicativeFunction,
+    g: MultiplicativeFunction,
+    tol: float = FUNCTIONS_CLOSE_TOL,
 ) -> bool:
     """Equality after refining to a common depth, within ``tol`` per value.
 

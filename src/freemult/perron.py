@@ -16,13 +16,13 @@ Collatz–Wielandt bracket ``alpha = lambda_min(X^{-1/2} T(X) X^{-1/2})`` and
 ``beta = lambda_max(...)`` (the block-diagonal matrix has the union of the
 letterwise spectra, so these are the extremes over the letters) satisfies
 ``alpha <= rho <= beta``; once it closes to a relative width of
-``_BRACKET_RTOL`` the spectral radius is certified, and ``X`` is an
+``BRACKET_RTOL`` the spectral radius is certified, and ``X`` is an
 eigentuple up to a residual of half the width, relative to ``|X|``.  The
 bracket costs two eigensolves of the whole iterate, against one matrix
 product for a transfer step, so it is checked every ``_CHECK_STRIDE``
-iterations, and at every iteration once it is within ``_CHECK_EVERY_RTOL``.
+iterations, and at every iteration once it is within ``CHECK_EVERY_RTOL``.
 When the bracket cannot close — the eigentuple lies on the boundary of the
-cone (the smallest eigenvalue of an iterate falls to ``_DEFINITE_RTOL`` of
+cone (the smallest eigenvalue of an iterate falls to ``DEFINITE_RTOL`` of
 its largest), the operator is nilpotent, the peripheral spectrum holds more
 than ``rho``, or ``_CONE_ITERATIONS`` pass first — the dense eigensolver on
 :func:`transfer_matrix` decides.
@@ -41,38 +41,28 @@ import numpy as np
 from .errors import InputError, NumericError, ValidationError
 from .system import MatrixSystem, _snorm, _transfer, compatibility_defect, is_psd
 from .system import apply_transfer  # noqa: F401 (re-exported by the package)
+from .tolerances import (
+    AVERAGED_RESIDUAL_FLOOR,
+    BRACKET_RTOL,
+    CHECK_EVERY_RTOL,
+    DEFINITE_RTOL,
+    EIGENTUPLE_PSD_TOL,
+    LEADING_GAP,
+    NORMALIZED_DEFECT_FLOOR,
+    NORMALIZED_DEFECT_SLACK,
+    PF_TOL,
+    RESIDUAL_FLOOR,
+    TRACE_FLOOR,
+    VANISH_RTOL,
+)
 
 FormTuple = dict[str, np.ndarray]
 
-# Relative width of the Collatz–Wielandt bracket that certifies rho.
-_BRACKET_RTOL = 1e-12
-# Cone iterations between bracket checks while the bracket is wide ...
+# Cone iterations between bracket checks while the bracket is wider than
+# CHECK_EVERY_RTOL.
 _CHECK_STRIDE = 8
-# ... and the relative width at which every later iteration is checked: near
-# _BRACKET_RTOL the width sits at its rounding floor and may fall below it
-# at one iteration only.
-_CHECK_EVERY_RTOL = 1e-9
 # Cone iterations allowed before the dense eigensolver takes over.
 _CONE_ITERATIONS = 1000
-# An iterate form whose smallest eigenvalue is at most this share of its
-# largest counts as singular: the eigentuple is on the boundary of the cone
-# and the bracket cannot close.
-_DEFINITE_RTOL = 1e-12
-# Eigenvalue tolerance of the positivity check on a candidate eigentuple.
-_PSD_TOL = 1e-7
-# Floor of the relative eigen-residual accepted for a candidate eigentuple.
-_RESIDUAL_FLOOR = 1e-10
-# Floor of the eigen-residual accepted from the averaged power iteration.
-_AVERAGED_RESIDUAL_FLOOR = 1e-9
-# Real eigenvalues this close below rho (relative) count as leading.
-_LEADING_GAP = 1e-12
-# Eigenvectors with a smaller total trace cannot be scaled into the cone.
-_TRACE_FLOOR = 1e-12
-# An array this small relative to its scale has vanished: an iterate against
-# its predecessor here, a pulled-back form block against the largest in decompose.
-_VANISH_RTOL = 1e-14
-# Normalization may leave a compatibility defect of 100 * max(tol, this).
-_DEFECT_FLOOR = 1e-9
 
 
 def _hermitian_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,12 +156,12 @@ def _unit_trace(x: np.ndarray) -> np.ndarray:
 
 def _certified(sys: MatrixSystem, rho: float, x: np.ndarray, rtol: float) -> bool:
     """Whether the form array ``x`` is positive semidefinite up to
-    ``_PSD_TOL`` and an eigenvector for ``rho`` up to a residual of ``rtol``,
-    both relative to ``|x|``."""
+    ``EIGENTUPLE_PSD_TOL`` and an eigenvector for ``rho`` up to a residual
+    of ``rtol``, both relative to ``|x|``."""
     scale = _snorm(x)
     if scale == 0.0:
         return False
-    return is_psd(x / scale, _PSD_TOL) and (
+    return is_psd(x / scale, EIGENTUPLE_PSD_TOL) and (
         _snorm(_transfer(sys, x) - rho * x) / scale <= rtol
     )
 
@@ -183,7 +173,7 @@ def _cone_eigenpair(
     Collatz–Wielandt bracket; ``None`` when it cannot certify a pair.
 
     The iteration starts from the system's own forms when they are definite
-    (smallest eigenvalue above ``_DEFINITE_RTOL`` of the largest), else from
+    (smallest eigenvalue above ``DEFINITE_RTOL`` of the largest), else from
     the identity.  Every definite start converges to the same eigentuple;
     the forms start saves the iterations when the forms already are one.
     That holds for a compatible system and for its quotient ``(Q* H Q,
@@ -202,38 +192,38 @@ def _cone_eigenpair(
     The bracket is checked at the first iteration, so a start that is an
     eigentuple certifies in one step, then at the schedule of the module
     docstring.  An iterate counts as singular when its smallest eigenvalue
-    is at most ``_DEFINITE_RTOL`` of its largest over the whole array, not
+    is at most ``DEFINITE_RTOL`` of its largest over the whole array, not
     letterwise: one ``eigh`` resolves each block only to rounding of the
     largest one.
     """
     x = sys._B
     w = np.linalg.eigvalsh(x)
-    if w[0] <= _DEFINITE_RTOL * w[-1]:
+    if w[0] <= DEFINITE_RTOL * w[-1]:
         x = np.eye(sys.total_dim, dtype=complex)
     every = False
     for k in range(_CONE_ITERATIONS):
         y = _transfer(sys, x)
         if every or k % _CHECK_STRIDE == 0:
             w, v = np.linalg.eigh(x)
-            if w[0] <= _DEFINITE_RTOL * w[-1]:
+            if w[0] <= DEFINITE_RTOL * w[-1]:
                 return None
             # s* y s is unitarily similar to the block-diagonal x^{-1/2} y x^{-1/2},
             # whose spectrum is the union of the letterwise spectra.
             s = v / np.sqrt(w)
             e = np.linalg.eigvalsh(s.conj().T @ y @ s)
             lo, hi = e[0], e[-1]
-            if hi - lo <= _BRACKET_RTOL * hi:
+            if hi - lo <= BRACKET_RTOL * hi:
                 rho = (lo + hi) / 2
                 if rho <= tol:
                     # The dense path reports such radii as zero.
                     return None
                 forms = _unit_trace(x)
                 if _certified(
-                    sys, rho, forms, max(tol, _RESIDUAL_FLOOR) * max(1.0, rho)
+                    sys, rho, forms, max(tol, RESIDUAL_FLOOR) * max(1.0, rho)
                 ):
                     return float(rho), forms
                 return None
-            if hi - lo <= _CHECK_EVERY_RTOL * hi:
+            if hi - lo <= CHECK_EVERY_RTOL * hi:
                 every = True
         t = float(np.trace(y).real)
         if not t > 0:
@@ -249,7 +239,7 @@ def _nilpotent_eigentuple(mat: np.ndarray, layout: _HermitianLayout) -> np.ndarr
     prev = layout.to_vector(np.eye(layout.total_dim))
     for _ in range(layout.size + 1):
         nxt = mat @ prev
-        if np.linalg.norm(nxt) <= _VANISH_RTOL * max(1.0, np.linalg.norm(prev)):
+        if np.linalg.norm(nxt) <= VANISH_RTOL * max(1.0, np.linalg.norm(prev)):
             return layout.from_vector(prev)
         prev = nxt
     raise NumericError("transfer operator looked nilpotent but never vanished")
@@ -269,7 +259,7 @@ def _dense_eigenpair(sys: MatrixSystem, tol: float) -> tuple[float, np.ndarray]:
         lam = evals[k]
         if abs(lam.imag) > tol * max(1.0, rho):
             continue
-        if lam.real < rho - max(tol, _LEADING_GAP) * max(1.0, rho):
+        if lam.real < rho - max(tol, LEADING_GAP) * max(1.0, rho):
             break
         vec = evecs[:, k]
         real_part = vec.real if np.linalg.norm(vec.real) >= np.linalg.norm(
@@ -277,11 +267,11 @@ def _dense_eigenpair(sys: MatrixSystem, tol: float) -> tuple[float, np.ndarray]:
         ) else vec.imag
         x = layout.from_vector(real_part)
         t = float(np.trace(x).real)
-        if abs(t) < _TRACE_FLOOR:
+        if abs(t) < TRACE_FLOOR:
             continue
         forms = _unit_trace(x / t)
         if _certified(
-            sys, lam.real, forms, max(tol, _RESIDUAL_FLOOR) * max(1.0, rho)
+            sys, lam.real, forms, max(tol, RESIDUAL_FLOOR) * max(1.0, rho)
         ):
             return float(lam.real), forms
 
@@ -305,7 +295,7 @@ def _dense_eigenpair(sys: MatrixSystem, tol: float) -> tuple[float, np.ndarray]:
                 forms = _unit_trace(layout.from_vector(acc / np.linalg.norm(acc)))
             except NumericError:
                 continue
-            if _certified(sys, rho, forms, max(tol, _AVERAGED_RESIDUAL_FLOOR)):
+            if _certified(sys, rho, forms, max(tol, AVERAGED_RESIDUAL_FLOOR)):
                 return rho, forms
     raise NumericError(
         f"no certified leading eigenpair (spectral radius {rho:.6e}, "
@@ -313,7 +303,7 @@ def _dense_eigenpair(sys: MatrixSystem, tol: float) -> tuple[float, np.ndarray]:
     )
 
 
-def pf_eigenpair(sys: MatrixSystem, tol: float = 1e-9) -> tuple[float, FormTuple]:
+def pf_eigenpair(sys: MatrixSystem, tol: float = PF_TOL) -> tuple[float, FormTuple]:
     """Spectral radius of the transfer operator and a positive semidefinite
     eigentuple, normalized to total trace one.
 
@@ -321,7 +311,7 @@ def pf_eigenpair(sys: MatrixSystem, tol: float = 1e-9) -> tuple[float, FormTuple
     system's forms when they are definite (one bracket check when they are
     already an eigentuple, as for a compatible system) and checking the
     bracket every ``_CHECK_STRIDE`` iterations until it is within
-    ``_CHECK_EVERY_RTOL``, then at every one; the dense eigensolver covers
+    ``CHECK_EVERY_RTOL``, then at every one; the dense eigensolver covers
     the rest.  Raises :class:`NumericError` when neither finds a
     certified pair.
     """
@@ -332,7 +322,7 @@ def pf_eigenpair(sys: MatrixSystem, tol: float = 1e-9) -> tuple[float, FormTuple
 
 
 def normalize_to_compatible(
-    sys: MatrixSystem, tol: float = 1e-9
+    sys: MatrixSystem, tol: float = PF_TOL
 ) -> tuple[MatrixSystem, float]:
     """Rescale the transfer matrices and replace the forms so the system
     becomes compatible.
@@ -349,6 +339,6 @@ def normalize_to_compatible(
         )
     out = sys.scale_H(1.0 / np.sqrt(rho)).with_forms(forms)
     defect = compatibility_defect(out)
-    if defect > max(tol, _DEFECT_FLOOR) * 100:
+    if defect > max(tol, NORMALIZED_DEFECT_FLOOR) * NORMALIZED_DEFECT_SLACK:
         raise NumericError(f"normalization left compatibility defect {defect:.3e}")
     return out, rho

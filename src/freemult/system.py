@@ -29,10 +29,19 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InputError, InternalCheckError, ValidationError
+from .tolerances import (
+    CLOSE_TOL,
+    CONJUGATE_RESIDUAL_FLOOR,
+    CONJUGATE_RESIDUAL_SLACK,
+    FORM_HERMITIAN_RTOL,
+    INVARIANT_TOL,
+    KEPT_DEFECT_FLOOR,
+    KEPT_DEFECT_SLACK,
+    PSD_TOL,
+    RANK_RTOL,
+    UNITARY_TOL,
+)
 from .words import Alphabet
-
-# Relative cutoff below which singular values count as zero.
-RANK_RTOL = 1e-8
 
 
 def _as_matrix(value, rows: int, cols: int, what: str) -> np.ndarray:
@@ -57,7 +66,7 @@ def _is_hermitian(m: np.ndarray, tol: float) -> bool:
     )
 
 
-def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
+def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
     """Positive semidefiniteness up to a relative eigenvalue tolerance."""
     if m.size == 0:
         return True
@@ -71,7 +80,7 @@ def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
 def _checked_form(m: np.ndarray, a: str) -> np.ndarray:
     """The Hermitian part of a form, after checking it is Hermitian and
     positive semidefinite."""
-    if not _is_hermitian(m, 1e-12):
+    if not _is_hermitian(m, FORM_HERMITIAN_RTOL):
         raise ValidationError(f"B[{a!r}] is not Hermitian")
     m = _hermitian_part(m)
     if not is_psd(m):
@@ -240,7 +249,7 @@ class MatrixSystem:
         H = {(b, a): self.H(b, a) for b, a in self._stored}
         return MatrixSystem(self.alphabet, self.dims, H, B)
 
-    def close_to(self, other: "MatrixSystem", tol: float = 1e-9) -> bool:
+    def close_to(self, other: "MatrixSystem", tol: float = CLOSE_TOL) -> bool:
         if self.alphabet != other.alphabet or self.dims != other.dims:
             return False
         sl = self._slices
@@ -290,7 +299,8 @@ def _check_compatibility_kept(
     """Raise when ``out`` is incompatible although ``source`` is compatible
     within ``tol``.  The source is only measured when the output fails."""
     d = compatibility_defect(out)
-    if d > max(tol, 1e-8) * 10 and compatibility_defect(source) <= tol:
+    bound = max(tol, KEPT_DEFECT_FLOOR) * KEPT_DEFECT_SLACK
+    if d > bound and compatibility_defect(source) <= tol:
         raise InternalCheckError(f"{what} broke compatibility: defect {d:.3e}")
 
 
@@ -369,7 +379,7 @@ class Subsystem:
 
     ``basis[a]`` has shape ``(dims[a], k_a)``; ``k_a = 0`` gives an empty
     matrix.  Invariance under the system's transfer matrices is a property
-    checked by :func:`is_invariant_subsystem`, not enforced here.
+    measured by :func:`invariance_defect`, not enforced here.
     """
 
     __slots__ = ("alphabet", "basis")
@@ -449,14 +459,6 @@ def orthogonal_complement(basis: np.ndarray, dim: int) -> np.ndarray:
     return null_space(basis.conj().T)
 
 
-def is_invariant_subsystem(
-    sys: MatrixSystem, sub: Subsystem, tol: float = 1e-9
-) -> bool:
-    """Whether each ``H(b, a)`` maps the subspace at ``a`` into the one at
-    ``b``, up to ``tol`` relative to the matrix norms."""
-    return invariance_defect(sys, sub) <= tol
-
-
 def invariance_defect(sys: MatrixSystem, sub: Subsystem) -> float:
     """Worst ``|| (1 - P_b) H(b,a) W_a ||_2 / max(1, ||H(b,a)||_2)`` over
     the stored pairs, for the subspace bases ``W`` and the orthogonal
@@ -498,7 +500,7 @@ def _require_invariant(sys: MatrixSystem, sub: Subsystem, tol: float) -> None:
 
 
 def restrict_to_subsystem(
-    sys: MatrixSystem, sub: Subsystem, tol: float = 1e-8
+    sys: MatrixSystem, sub: Subsystem, tol: float = INVARIANT_TOL
 ) -> tuple[MatrixSystem, "SystemMap"]:
     """Compress the system onto an invariant subsystem.
 
@@ -510,7 +512,7 @@ def restrict_to_subsystem(
 
 
 def quotient_system(
-    sys: MatrixSystem, sub: Subsystem, tol: float = 1e-8
+    sys: MatrixSystem, sub: Subsystem, tol: float = INVARIANT_TOL
 ) -> tuple[MatrixSystem, "SystemMap"]:
     """Quotient by an invariant subsystem, realized on the orthogonal
     complements.
@@ -570,7 +572,7 @@ class SystemMap:
             {a: self.blocks[a] @ inner.blocks[a] for a in self.alphabet.letters},
         )
 
-    def is_unitary(self, tol: float = 1e-9) -> bool:
+    def is_unitary(self, tol: float = UNITARY_TOL) -> bool:
         for a, m in self.blocks.items():
             if m.shape[0] != m.shape[1]:
                 return False
@@ -611,7 +613,9 @@ def map_residual(
     )
 
 
-def conjugate(sys: MatrixSystem, J: SystemMap, tol: float = 1e-9) -> MatrixSystem:
+def conjugate(
+    sys: MatrixSystem, J: SystemMap, tol: float = UNITARY_TOL
+) -> MatrixSystem:
     """Transport a system along letterwise unitaries.
 
     ``H'(b,a) = J_b H(b,a) J_a*`` and ``B'_a = J_a B_a J_a*``; the result
@@ -624,6 +628,6 @@ def conjugate(sys: MatrixSystem, J: SystemMap, tol: float = 1e-9) -> MatrixSyste
             raise InputError(f"unitary block for {a!r} has the wrong shape")
     out = _compressed(sys, {a: J[a].conj().T for a in sys.alphabet.letters})
     resid = map_residual(sys, out, J)
-    if resid > max(tol, 1e-9) * 10:
+    if resid > max(tol, CONJUGATE_RESIDUAL_FLOOR) * CONJUGATE_RESIDUAL_SLACK:
         raise InternalCheckError(f"conjugation intertwining residual {resid:.3e}")
     return out

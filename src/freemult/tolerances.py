@@ -1,0 +1,125 @@
+"""Every numeric threshold of the package, named once.
+
+Each entry is a bound that a defect, residual, eigenvalue or singular value
+is compared against, with a comment saying what it bounds and relative to
+what.  The public ``tol``/``rtol`` defaults read from here.  Two thresholds
+share a name only when they bound the same quantity for the same reason.
+Iteration schedules and resource caps are not thresholds and stay with the
+code they bound.  The values are fixed: this module is not a configuration
+surface.
+"""
+
+# ---------------------------------------------------------------- systems
+
+# Hermitian check on an input form: ``||B - B*||_2`` against
+# ``max(1, ||B||_2)``.
+FORM_HERMITIAN_RTOL = 1e-12
+# Default of ``is_psd``: the smallest eigenvalue may reach minus this times
+# ``max(1, largest eigenvalue)``, and the Hermitian check uses the same
+# relative bound.  Input forms are validated with it.
+PSD_TOL = 1e-9
+# Singular values at most this share of the largest count as zero
+# (``orthonormal_columns``, ``null_space``).
+RANK_RTOL = 1e-8
+# Default of ``MatrixSystem.close_to``: the Frobenius norm of each block of
+# the difference of two systems, absolute.
+CLOSE_TOL = 1e-9
+# Default of ``SystemMap.is_unitary`` and ``conjugate``: ``||J_a* J_a - 1||_2``
+# at each letter, absolute.
+UNITARY_TOL = 1e-9
+# Floor of the tolerance on the intertwining residual of a conjugated
+# system, ``map_residual`` in absolute spectral norm ...
+CONJUGATE_RESIDUAL_FLOOR = 1e-9
+# ... and the factor by which that residual may exceed ``max(tol, floor)``
+# before ``conjugate`` reports a fault of its own.
+CONJUGATE_RESIDUAL_SLACK = 10
+# Default of ``restrict_to_subsystem`` and ``quotient_system``: the
+# ``invariance_defect`` of the subsystem, relative to ``max(1, ||H(b,a)||_2)``
+# per pair.
+INVARIANT_TOL = 1e-8
+# Default bound on the compatibility defect of an input system, the
+# absolute spectral norm of ``B - T(B)`` (``decompose``,
+# ``strip_null_directions``, ``transport_system``, ``restrict_system``,
+# ``induce_system`` and the CLI's ``check``).
+COMPAT_TOL = 1e-8
+# Floor of the tolerance on the compatibility defect of a transported,
+# restricted or induced system built from a compatible one ...
+KEPT_DEFECT_FLOOR = 1e-8
+# ... and the factor by which that defect may exceed ``max(tol, floor)``
+# before the construction reports a fault of its own.
+KEPT_DEFECT_SLACK = 10
+
+# ----------------------------------------------------------------- perron
+
+# Default of ``pf_eigenpair`` and ``normalize_to_compatible``: a spectral
+# radius at most this counts as zero, and the accepted eigen-residual of a
+# candidate eigentuple is at least this, relative to ``max(1, rho)``.
+PF_TOL = 1e-9
+# Relative width of the Collatz–Wielandt bracket that certifies rho.
+BRACKET_RTOL = 1e-12
+# Relative bracket width from which the cone iteration checks the bracket at
+# every iteration instead of at its stride: near BRACKET_RTOL the width sits
+# at its rounding floor and may fall below it at one iteration only.
+CHECK_EVERY_RTOL = 1e-9
+# An iterate form whose smallest eigenvalue is at most this share of its
+# largest counts as singular: the eigentuple is on the boundary of the cone
+# and the bracket cannot close.
+DEFINITE_RTOL = 1e-12
+# Eigenvalue tolerance of the positivity check on a candidate eigentuple,
+# relative to its spectral norm.
+EIGENTUPLE_PSD_TOL = 1e-7
+# Floor of the eigen-residual accepted for a candidate eigentuple, relative
+# to its spectral norm and to ``max(1, rho)``.
+RESIDUAL_FLOOR = 1e-10
+# Floor of the eigen-residual accepted from the averaged power iteration,
+# relative to the eigentuple's spectral norm.
+AVERAGED_RESIDUAL_FLOOR = 1e-9
+# Real eigenvalues this close below rho, relative to ``max(1, rho)``, count
+# as leading.
+LEADING_GAP = 1e-12
+# Eigenvectors with a smaller absolute total trace cannot be scaled into the
+# cone.
+TRACE_FLOOR = 1e-12
+# An array this small relative to its scale has vanished: an iterate against
+# its predecessor in the nilpotent case of ``pf_eigenpair``, a pulled-back
+# form block against the largest in ``decompose``.
+VANISH_RTOL = 1e-14
+# Floor of the tolerance on the compatibility defect that normalization may
+# leave ...
+NORMALIZED_DEFECT_FLOOR = 1e-9
+# ... and the factor by which that defect may exceed ``max(tol, floor)``
+# before ``normalize_to_compatible`` fails.
+NORMALIZED_DEFECT_SLACK = 100
+
+# -------------------------------------------------------------- decompose
+
+# Invariance residuals below this are treated as exact inside
+# ``decompose``: invariance defects, the drift of the pulled-back forms and
+# the intertwining residual of emitted embeddings (the last two relative to
+# ``max(1, scale)``).  It is ten times INVARIANT_TOL; no reason for the
+# difference is known.
+DECOMPOSE_INV_TOL = 1e-7
+# Half-width of the band around one for quotient spectral radii.
+RHO_BAND = 1e-8
+# A quotient spectral radius this far above one is an error, not rounding.
+RHO_CEILING = 100 * RHO_BAND
+# Eigenvalues of a generic loop operator closer than this, relative to the
+# spectral radius (or one), are taken as one eigenvalue.
+EIG_CLUSTER_RTOL = 1e-8
+# Eigenvalues of the residual form within this of zero, relative to the
+# norm of the form (or one), span the splitting kernel.
+KERNEL_RTOL = 1e-7
+# A residual-form eigenvalue below minus this many kernel cutoffs means the
+# residual form lost positivity.
+POSITIVITY_SLACK = 10
+# Relative gap allowed between the two routes to a component's forms,
+# against ``max(1, ||B_a||_2)``.
+ROUTE_RTOL = 1e-6
+# Floor on the compatibility tolerance applied to emitted components.
+COMPONENT_DEFECT_FLOOR = 1e-8
+
+# ---------------------------------------------------- multiplicative functions
+
+# Default of ``functions_close``: the Euclidean norm of the gap between two
+# values after refining to a common depth, absolute.
+FUNCTIONS_CLOSE_TOL = 1e-9

@@ -19,11 +19,12 @@ from .errors import InputError, InternalCheckError, ValidationError
 from .multfunc import MultiplicativeFunction, evaluate, sample_then_refine
 from .subgroup import FundamentalSubtree, decompose_left
 from .system import MatrixSystem, _assembled
+from .tolerances import COMPAT_TOL
 from .words import FiniteSubtree, Word, ball, drop_last, first_letter, last_letter, sphere
 
 
 def restrict_system(
-    fs: FundamentalSubtree, sys: MatrixSystem, tol: float = 1e-8
+    fs: FundamentalSubtree, sys: MatrixSystem, tol: float = COMPAT_TOL
 ) -> MatrixSystem:
     """Pull an ambient system back to the subgroup alphabet.
 
@@ -108,7 +109,7 @@ def coset_pairs(fs: FundamentalSubtree, a: str) -> list[tuple[Word, str]]:
 
 
 def induce_system(
-    fs: FundamentalSubtree, subsys: MatrixSystem, tol: float = 1e-8
+    fs: FundamentalSubtree, subsys: MatrixSystem, tol: float = COMPAT_TOL
 ) -> MatrixSystem:
     """Spread a subgroup system over the ambient alphabet.
 

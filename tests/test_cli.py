@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from freemult.cli import main
+from freemult import (
+    decompose,
+    induce_system,
+    normalize_to_compatible,
+    pf_eigenpair,
+    restrict_system,
+    tolerances,
+    transport_system,
+)
+from freemult.cli import build_parser, main
 from freemult.jsonio import system_from_json, system_to_json
 from freemult.system import compatibility_defect, direct_sum
 
@@ -221,3 +231,31 @@ def test_exit_code_numeric_failure(capsys, monkeypatch, spherical_path):
     code, _, err = run(capsys, "pf", spherical_path)
     assert code == 2
     assert "error: iteration did not settle" in err
+
+
+def test_tol_defaults_follow_the_library(capsys):
+    parser = build_parser()
+    calls = {
+        "pf": (pf_eigenpair, ["s"]),
+        "normalize": (normalize_to_compatible, ["s"]),
+        "decompose": (decompose, ["s"]),
+        "changegen": (transport_system, ["m", "s"]),
+        "restrict": (restrict_system, ["g", "s"]),
+        "induce": (induce_system, ["g", "s"]),
+    }
+    for name, (fn, argv) in calls.items():
+        want = inspect.signature(fn).parameters["tol"].default
+        assert parser.parse_args([name, *argv]).tol == want, name
+    assert parser.parse_args(["check", "s"]).tol == tolerances.COMPAT_TOL
+    # subcommands that never read a tolerance take none
+    unused = (
+        ["schreier", "g"],
+        ["act", "s", "f", "b"],
+        ["norm", "s", "f"],
+        ["coeff", "s", "f", "g", "b"],
+    )
+    for argv in unused:
+        assert not hasattr(parser.parse_args(argv), "tol")
+        with pytest.raises(SystemExit):
+            parser.parse_args([*argv, "--tol", "1e-3"])
+    capsys.readouterr()

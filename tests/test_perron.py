@@ -23,6 +23,7 @@ from freemult import (
     normalize_to_compatible,
     pf_eigenpair,
     perron,
+    tolerances,
     transfer_matrix,
 )
 from freemult.system import _blockdiag, _transfer, is_psd
@@ -321,12 +322,12 @@ def reference_cone_eigenpair(sys, tol=1e-9):
         lo, hi = np.inf, 0.0
         for a in letters:
             w, v = np.linalg.eigh(x[a])
-            if w[0] <= perron._DEFINITE_RTOL * w[-1]:
+            if w[0] <= tolerances.DEFINITE_RTOL * w[-1]:
                 return None
             s = v / np.sqrt(w)
             e = np.linalg.eigvalsh(s.conj().T @ y[a] @ s)
             lo, hi = min(lo, e[0]), max(hi, e[-1])
-        if hi - lo <= perron._BRACKET_RTOL * hi:
+        if hi - lo <= tolerances.BRACKET_RTOL * hi:
             rho = (lo + hi) / 2
             if rho <= tol:
                 return None
@@ -336,8 +337,9 @@ def reference_cone_eigenpair(sys, tol=1e-9):
             scale = max(np.linalg.norm(forms[a], 2) for a in letters)
             img = ref_apply_transfer(sys, forms)
             resid = max(np.linalg.norm(img[a] - rho * forms[a], 2) for a in letters)
-            if all(is_psd(m / scale, perron._PSD_TOL) for m in forms.values()) and (
-                resid / scale <= max(tol, perron._RESIDUAL_FLOOR) * max(1.0, rho)
+            psd_tol = tolerances.EIGENTUPLE_PSD_TOL
+            if all(is_psd(m / scale, psd_tol) for m in forms.values()) and (
+                resid / scale <= max(tol, tolerances.RESIDUAL_FLOOR) * max(1.0, rho)
             ):
                 return float(rho), forms
             return None
@@ -380,7 +382,7 @@ def test_block_cone_matches_per_letter_reference(seed, dims):
 def test_singular_test_is_global(monkeypatch):
     """A letter whose outgoing transfers are scaled by ``eps`` carries a form
     about ``eps**2`` of the others'.  At 1e-4 the cone iteration still
-    certifies; at 1e-6 the form falls below ``_DEFINITE_RTOL`` of the
+    certifies; at 1e-6 the form falls below ``DEFINITE_RTOL`` of the
     largest eigenvalue of the whole iterate and the dense solver answers."""
     rng = np.random.default_rng(17)
     dims = {a: 3 for a in AB.letters}
@@ -405,7 +407,7 @@ def test_singular_test_is_global(monkeypatch):
 
 
 def test_block_cone_certifies_where_per_letter_reference_stalls():
-    """The per-letter reference's bracket stalls above ``_BRACKET_RTOL`` for
+    """The per-letter reference's bracket stalls above ``BRACKET_RTOL`` for
     all its iterations on this system; the block path certifies, and agrees
     with the dense solver."""
     sys0 = gaussian_system(
@@ -431,17 +433,17 @@ def reference_every_step_cone_eigenpair(sys, tol=1e-9):
     for _ in range(perron._CONE_ITERATIONS):
         y = _transfer(sys, x)
         w, v = np.linalg.eigh(x)
-        if w[0] <= perron._DEFINITE_RTOL * w[-1]:
+        if w[0] <= tolerances.DEFINITE_RTOL * w[-1]:
             return None
         s = v / np.sqrt(w)
         e = np.linalg.eigvalsh(s.conj().T @ y @ s)
         lo, hi = e[0], e[-1]
-        if hi - lo <= perron._BRACKET_RTOL * hi:
+        if hi - lo <= tolerances.BRACKET_RTOL * hi:
             rho = (lo + hi) / 2
             if rho <= tol:
                 return None
             forms = perron._unit_trace(x)
-            rtol = max(tol, perron._RESIDUAL_FLOOR) * max(1.0, rho)
+            rtol = max(tol, tolerances.RESIDUAL_FLOOR) * max(1.0, rho)
             if perron._certified(sys, rho, forms, rtol):
                 return float(rho), forms
             return None
@@ -509,3 +511,25 @@ def test_compatible_forms_certify_in_one_step(monkeypatch, rng):
     trace = sum(np.trace(sys0.B(a)).real for a in AB.letters)
     for a in AB.letters:
         assert np.linalg.norm(forms[a] - sys0.B(a) / trace) <= 1e-12
+
+
+@pytest.mark.parametrize("rank", [0, 1])
+def test_singular_forms_start_from_the_identity(rank):
+    # Zero or rank-one forms are no definite start, so the cone iteration
+    # starts from the identity; it must still certify the radius.
+    rng = np.random.default_rng(20 + rank)
+    for _ in range(10):
+        dims = {a: int(rng.integers(2, 5)) for a in AB.letters}
+        forms = {}
+        for a in AB.letters:
+            v = rng.standard_normal((dims[a], rank))
+            v = v + 1j * rng.standard_normal((dims[a], rank))
+            forms[a] = v @ v.conj().T
+        sys0 = gaussian_system(rng, dims).with_forms(forms)
+        with pytest.MonkeyPatch.context() as mp:
+            dense = CountDense(mp)
+            rho, eigenforms = pf_eigenpair(sys0)
+        assert dense.calls == 0, "the cone iteration did not certify"
+        want = dense_rho_oracle(sys0)
+        assert abs(rho - want) <= 1e-10 * max(1.0, want)
+        assert_eigenpair(sys0, rho, eigenforms)
