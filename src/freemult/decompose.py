@@ -287,37 +287,33 @@ def _maximal_containing(
     subsystem ``first``, the (certified irreducible) quotient by it and the
     projection onto the quotient.
 
-    Maintains a nonzero dual-invariant subsystem, repeatedly replacing it
-    by a strictly smaller one as long as the quotient by its annihilator
-    still has a proper invariant subsystem.
+    Grows the invariant subsystem by the pullback of a proper invariant
+    subsystem of the quotient by it, as long as that quotient has one.
     """
-    z = _annihilator(first, sys)  # dual-invariant, nonzero since first is proper
+    w = first
     while True:
-        w = _annihilator(z, sys)
         try:
             quot, proj = quotient_system(sys, w, tol=DECOMPOSE_INV_TOL)
         except ValidationError as exc:
             raise InternalCheckError(
-                f"annihilator of a dual-invariant subsystem must be invariant; {exc}"
+                f"pullback of an invariant subsystem of the quotient must be "
+                f"invariant; {exc}"
             ) from exc
         if quot.total_dim == 0:
             raise InternalCheckError("maximal invariant search reached a full chain")
         finer = find_proper_invariant(quot)
         if finer is None:
             return w, quot, proj
-        # Pull the quotient's invariant subsystem back to the ambient space
-        # and shrink the dual-invariant subsystem accordingly.
-        pre = Subsystem.from_spanning(
+        grown = Subsystem.from_spanning(
             sys.alphabet,
             {
                 a: np.hstack([w.basis[a], proj[a].conj().T @ finer.basis[a]])
                 for a in sys.alphabet.letters
             },
         )
-        new_z = _annihilator(pre, sys)
-        if new_z.total_dim >= z.total_dim:
-            raise InternalCheckError("dual-invariant subsystem failed to shrink")
-        z = new_z
+        if grown.total_dim <= w.total_dim:
+            raise InternalCheckError("invariant subsystem failed to grow")
+        w = grown
 
 
 def _split_off_component(
@@ -426,6 +422,8 @@ def _decompose_rec(
         component, comp_embed, rest, rest_embed = _split_off_component(
             sys, w, proj, forms_t
         )
+        if find_proper_invariant(component) is not None:
+            raise InternalCheckError("emitted component is reducible")
         out.append((component, embed.compose(comp_embed)))
     else:
         # Transient quotient: all weight lives on the invariant part.
@@ -442,7 +440,9 @@ def decompose(
     irreducible system and each embedding is a letterwise isometry into the
     input system intertwining the transfer matrices.  Null directions of
     the input forms are stripped first and belong to no component.  Every
-    component is certified irreducible again before it is returned.
+    component is certified irreducible once: by the search that finds no
+    proper invariant subsystem in it, or, for a split-off summand, by a
+    search on it as it is emitted.
     """
     defect = compatibility_defect(sys)
     if defect > tol:
@@ -464,6 +464,4 @@ def decompose(
             raise InternalCheckError(
                 f"component embedding fails to intertwine: residual {resid:.3e}"
             )
-        if comp.total_dim and find_proper_invariant(comp) is not None:
-            raise InternalCheckError("emitted component is reducible")
     return out

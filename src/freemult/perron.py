@@ -25,7 +25,15 @@ When the bracket cannot close — the eigentuple lies on the boundary of the
 cone (the smallest eigenvalue of an iterate falls to ``DEFINITE_RTOL`` of
 its largest), the operator is nilpotent, the peripheral spectrum holds more
 than ``rho``, or ``_CONE_ITERATIONS`` pass first — the dense eigensolver on
-:func:`transfer_matrix` decides.
+:func:`transfer_matrix` decides.  Its real eigenvalues within the leading
+window below ``rho`` are scanned, best first, for an eigenvector that is
+semidefinite on its own.  When none is (a repeated radius whose eigenspace
+meets the boundary of the cone, as for ``V + V`` with a singular eigentuple
+of ``V``), the spectral projection of the identity tuple onto the leading
+eigenvectors is taken instead.  By Perron–Frobenius theory for positive maps
+(Evans and Høegh-Krohn, 1978) it lies in the cone: it is the limit of the
+averages of the iterates ``T^n(1) / rho^n``.  Each candidate is certified by
+its positivity and eigen-residual.
 
 Vectorization uses the real basis of Hermitian matrices (diagonal units,
 symmetric and antisymmetric off-diagonal units), making the operator a
@@ -42,7 +50,6 @@ from .errors import InputError, NumericError, ValidationError
 from .system import MatrixSystem, _snorm, _transfer, compatibility_defect, is_psd
 from .system import apply_transfer  # noqa: F401 (re-exported by the package)
 from .tolerances import (
-    AVERAGED_RESIDUAL_FLOOR,
     BRACKET_RTOL,
     CHECK_EVERY_RTOL,
     DEFINITE_RTOL,
@@ -253,14 +260,14 @@ def _dense_eigenpair(sys: MatrixSystem, tol: float) -> tuple[float, np.ndarray]:
     if rho <= tol:
         return 0.0, _unit_trace(_nilpotent_eigentuple(mat, layout))
 
-    # Real eigenvalues near the spectral radius, best first.
+    # Real eigenvalues near the spectral radius; the scan takes them best first.
+    scale = max(1.0, rho)
+    leading = (np.abs(evals.imag) <= tol * scale) & (
+        evals.real >= rho - max(tol, LEADING_GAP) * scale
+    )
+    bound = max(tol, RESIDUAL_FLOOR) * scale
     order = np.argsort(-evals.real)
-    for k in order:
-        lam = evals[k]
-        if abs(lam.imag) > tol * max(1.0, rho):
-            continue
-        if lam.real < rho - max(tol, LEADING_GAP) * max(1.0, rho):
-            break
+    for k in order[leading[order]]:
         vec = evecs[:, k]
         real_part = vec.real if np.linalg.norm(vec.real) >= np.linalg.norm(
             vec.imag
@@ -270,37 +277,20 @@ def _dense_eigenpair(sys: MatrixSystem, tol: float) -> tuple[float, np.ndarray]:
         if abs(t) < TRACE_FLOOR:
             continue
         forms = _unit_trace(x / t)
-        if _certified(
-            sys, lam.real, forms, max(tol, RESIDUAL_FLOOR) * max(1.0, rho)
-        ):
-            return float(lam.real), forms
+        if _certified(sys, evals[k].real, forms, bound):
+            return float(evals[k].real), forms
 
-    # Defective or numerically clustered peripheral spectrum: averaged power
-    # iteration from the identity tuple stays in the cone and converges to a
-    # leading eigenvector.
-    v = layout.to_vector(np.eye(layout.total_dim))
-    v /= np.linalg.norm(v)
-    acc = np.zeros_like(v)
-    lam_est = rho
-    for it in range(1, 20001):
-        w = mat @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        lam_est = nw
-        v = w / nw
-        acc += v
-        if it % 50 == 0:
-            try:
-                forms = _unit_trace(layout.from_vector(acc / np.linalg.norm(acc)))
-            except NumericError:
-                continue
-            if _certified(sys, rho, forms, max(tol, AVERAGED_RESIDUAL_FLOOR)):
-                return rho, forms
-    raise NumericError(
-        f"no certified leading eigenpair (spectral radius {rho:.6e}, "
-        f"last estimate {lam_est:.6e})"
-    )
+    # No leading eigenvector is semidefinite on its own (a repeated radius
+    # whose eigenspace holds the cone's boundary): the spectral projection of
+    # the identity onto the leading eigenvectors is in the cone.
+    ident = layout.to_vector(np.eye(layout.total_dim))
+    coef = np.linalg.lstsq(evecs, ident, rcond=None)[0]
+    x = layout.from_vector((evecs[:, leading] @ coef[leading]).real)
+    if float(np.trace(x).real) > 0:
+        forms = _unit_trace(x)
+        if _certified(sys, rho, forms, bound):
+            return rho, forms
+    raise NumericError(f"no certified leading eigenpair (spectral radius {rho:.6e})")
 
 
 def pf_eigenpair(sys: MatrixSystem, tol: float = PF_TOL) -> tuple[float, FormTuple]:
@@ -311,9 +301,11 @@ def pf_eigenpair(sys: MatrixSystem, tol: float = PF_TOL) -> tuple[float, FormTup
     system's forms when they are definite (one bracket check when they are
     already an eigentuple, as for a compatible system) and checking the
     bracket every ``_CHECK_STRIDE`` iterations until it is within
-    ``CHECK_EVERY_RTOL``, then at every one; the dense eigensolver covers
-    the rest.  Raises :class:`NumericError` when neither finds a
-    certified pair.
+    ``CHECK_EVERY_RTOL``, then at every one.  The dense eigensolver covers
+    the rest with a leading eigenvector that is semidefinite on its own,
+    else with the spectral projection of the identity tuple onto the
+    leading eigenvectors.  Raises :class:`NumericError` when neither finds
+    a certified pair.
     """
     if sys.total_dim == 0:
         raise InputError("the zero system has no leading eigenpair")

@@ -71,9 +71,6 @@ EIGENTUPLE_PSD_TOL = 1e-7
 # Floor of the eigen-residual accepted for a candidate eigentuple, relative
 # to its spectral norm and to ``max(1, rho)``.
 RESIDUAL_FLOOR = 1e-10
-# Floor of the eigen-residual accepted from the averaged power iteration,
-# relative to the eigentuple's spectral norm.
-AVERAGED_RESIDUAL_FLOOR = 1e-9
 # Real eigenvalues this close below rho, relative to ``max(1, rho)``, count
 # as leading.
 LEADING_GAP = 1e-12
@@ -96,8 +93,11 @@ NORMALIZED_DEFECT_SLACK = 100
 # Invariance residuals below this are treated as exact inside
 # ``decompose``: invariance defects, the drift of the pulled-back forms and
 # the intertwining residual of emitted embeddings (the last two relative to
-# ``max(1, scale)``).  It is ten times INVARIANT_TOL; no reason for the
-# difference is known.
+# ``max(1, scale)``).  It is ten times INVARIANT_TOL because an input
+# accepted at COMPAT_TOL can have form kernels whose invariance defect is
+# above INVARIANT_TOL: a compatible system plus a summand with zero forms,
+# its transfer blocks perturbed by 3e-9, has compatibility defects near
+# 3e-9 and kernel defects up to 1.4e-8 (one is pinned in test_decompose).
 DECOMPOSE_INV_TOL = 1e-7
 # Half-width of the band around one for quotient spectral radii.
 RHO_BAND = 1e-8

@@ -295,3 +295,16 @@ def test_frontiers_are_searched_once_per_map(monkeypatch):
     again = intertwine_changegen(gm, sys0, f, transported=out)
     assert functions_close(first, again, tol=0.0)
     assert sorted(searched) == sorted(AB.letters)
+
+
+def test_intertwiner_transports_the_system_by_default(ab_map, rng):
+    sys0 = random_compatible(rng, max_dim=2)
+    values = {}
+    for x in sphere(AB, 2):
+        d = sys0.dims[last_letter(x)]
+        values[x] = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    f = MultiplicativeFunction(sys0, 2, values)
+    given = intertwine_changegen(
+        ab_map, sys0, f, transported=transport_system(ab_map, sys0)
+    )
+    assert functions_close(intertwine_changegen(ab_map, sys0, f), given, tol=0.0)

@@ -22,6 +22,7 @@ from freemult.jsonio import system_from_json, system_to_json
 from freemult.system import compatibility_defect, direct_sum
 
 from .conftest import AB, make_spherical
+from .test_perron import repeated_boundary_sum
 
 
 @pytest.fixture
@@ -69,6 +70,17 @@ def test_normalize(capsys, tmp_path, spherical):
     assert out["rho"] == pytest.approx(1.3**2, abs=1e-9)
     back = system_from_json(out["system"])
     assert compatibility_defect(back) <= 1e-9
+
+
+def test_normalize_repeated_boundary_radius(capsys, tmp_path):
+    # V + V whose doubled radius has no semidefinite eigenvector of its own
+    V, total = repeated_boundary_sum("VV")
+    path = tmp_path / "vv.json"
+    path.write_text(json.dumps(system_to_json(total)))
+    code, out, err = run(capsys, "normalize", str(path))
+    assert code == 0, err
+    assert out["rho"] == pytest.approx(pf_eigenpair(V)[0], rel=1e-10)
+    assert compatibility_defect(system_from_json(out["system"])) <= 1e-9
 
 
 def test_decompose(capsys, tmp_path):

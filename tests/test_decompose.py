@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from freemult import (
+    InternalCheckError,
     MatrixSystem,
+    Subsystem,
     SystemMap,
     ValidationError,
     closure_subsystem,
@@ -23,6 +25,7 @@ from freemult import (
     decompose,
     direct_sum,
     find_proper_invariant,
+    invariance_defect,
     map_residual,
     maximal_invariant,
     normalize_to_compatible,
@@ -30,11 +33,13 @@ from freemult import (
     pf_eigenpair,
     quotient_system,
     strip_null_directions,
+    tolerances,
 )
 from freemult.decompose import _dual_system
-from freemult.system import orthonormal_columns
+from freemult.system import null_space, orthonormal_columns
 
 from .conftest import AB, _pairs, make_spherical, random_compatible, random_unitary
+from .test_perron import boundary_system, gaussian_system
 
 # ``freemult.decompose`` is also the name of a function in the package.
 decompose_module = importlib.import_module("freemult.decompose")
@@ -406,6 +411,32 @@ def test_quotient_solves_start_from_compressed_forms(monkeypatch, rng):
         assert max(per_solve) <= 2
 
 
+def test_each_component_is_searched_once(monkeypatch, rng):
+    # A component left unsplit was certified by the search that found
+    # nothing in it, and a split-off one is searched as it is emitted; no
+    # component is searched again.
+    searched = []
+    search = decompose_module.find_proper_invariant
+
+    def counted(sys0):
+        searched.append(sys0)
+        return search(sys0)
+
+    monkeypatch.setattr(decompose_module, "find_proper_invariant", counted)
+    for n_parts in (2, 3):
+        pieces, total = planted_sum(rng, n_parts)
+        J = SystemMap(AB, {a: random_unitary(rng, total.dims[a]) for a in AB.letters})
+        searched.clear()
+        parts = decompose(conjugate(total, J))
+        assert len(parts) == n_parts
+        for comp, _ in parts:
+            assert sum(s is comp for s in searched) == 1
+        if n_parts == 2:
+            # the input, its irreducible quotient, the split-off summand and
+            # the remainder
+            assert len(searched) == 4
+
+
 def test_non_unitary_disguise_recovers_planted_dims(rng):
     # Letterwise G = U D V with singular values spread 3 to 10 times: the
     # quotient's Euclidean complement is no longer B-orthogonal to the
@@ -425,3 +456,42 @@ def test_non_unitary_disguise_recovers_planted_dims(rng):
         hidden = MatrixSystem(AB, total.dims, H, B)
         assert compatibility_defect(hidden) <= 1e-9
         assert_recovers(hidden, pieces)
+
+
+def test_form_kernel_defect_above_invariant_tol_is_stripped():
+    # A compatible V with 2 dims per letter plus a summand with 1 dim per
+    # letter and zero forms, every transfer block perturbed by 3e-9: the
+    # input is compatible within COMPAT_TOL, yet the kernel of its forms
+    # has an invariance defect above INVARIANT_TOL.  DECOMPOSE_INV_TOL,
+    # ten times larger, lets decompose strip it.
+    rng = np.random.default_rng(46)
+    V, _ = normalize_to_compatible(gaussian_system(rng, {a: 2 for a in AB.letters}))
+    Z = gaussian_system(rng, {a: 1 for a in AB.letters})
+    total = direct_sum(V, Z.with_forms({a: np.zeros((1, 1)) for a in AB.letters}))
+    H = {}
+    for b, a in _pairs(AB):
+        noise = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        H[(b, a)] = total.H(b, a) + 3e-9 * noise
+    sys0 = MatrixSystem(AB, total.dims, H, {a: total.B(a) for a in AB.letters})
+    assert compatibility_defect(sys0) <= tolerances.COMPAT_TOL
+    nulls = Subsystem(AB, {a: null_space(sys0.B(a)) for a in AB.letters})
+    assert nulls.dims() == {a: 1 for a in AB.letters}
+    assert invariance_defect(sys0, nulls) > tolerances.INVARIANT_TOL
+    parts = decompose(sys0)
+    assert [c.dims for c, _ in parts] == [V.dims]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InternalCheckError,
+    reason="the form kernel is invariant but has no invariant complement, so "
+    "the stripped component's embedding cannot intertwine",
+)
+def test_normalized_boundary_system_decomposes():
+    # Normalizing the upper-triangular system puts rank-one forms on it
+    # whose kernel, the first coordinate line, is invariant; the quotient
+    # onto the second coordinate is not a summand.
+    N, _ = normalize_to_compatible(boundary_system(0))
+    assert compatibility_defect(N) <= 1e-12
+    for comp, emb in decompose(N):
+        assert map_residual(comp, N, emb) <= 1e-6

@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 from freemult import (
     MatrixSystem,
     NumericError,
+    SystemMap,
     ValidationError,
     apply_transfer,
     compatibility_defect,
+    conjugate,
+    direct_sum,
     normalize_to_compatible,
     pf_eigenpair,
     perron,
@@ -28,7 +31,7 @@ from freemult import (
 )
 from freemult.system import _blockdiag, _transfer, is_psd
 
-from .conftest import AB, _pairs, make_spherical, random_system
+from .conftest import AB, _pairs, make_spherical, random_system, random_unitary
 from .test_system import close, psd, ref_apply_transfer, ref_compatibility_defect
 
 
@@ -533,3 +536,58 @@ def test_singular_forms_start_from_the_identity(rank):
         want = dense_rho_oracle(sys0)
         assert abs(rho - want) <= 1e-10 * max(1.0, want)
         assert_eigenpair(sys0, rho, eigenforms)
+
+
+# ------------------------------------ repeated radius with a boundary eigentuple
+
+
+def boundary_system(seed):
+    """Upper-triangular ``H(b,a) = [[A, C], [0, D]]`` with 1-dim Gaussian
+    blocks and ``D`` twice as large: the quotient dominates, so the leading
+    eigentuple is singular (on the boundary of the cone)."""
+    rng = np.random.default_rng(seed)
+
+    def n():
+        return rng.normal(size=(1, 1))
+
+    H = {}
+    for b, a in _pairs(AB):
+        A, C, D = (n() + 1j * n() for _ in range(3))
+        H[(b, a)] = np.block([[A, C], [np.zeros((1, 1)), 2 * D]])
+    return MatrixSystem(
+        AB, {a: 2 for a in AB.letters}, H, {a: np.eye(2) for a in AB.letters}
+    )
+
+
+def repeated_boundary_sum(kind):
+    """``V + V``, ``V + V`` behind letterwise unitaries, or ``V + V + V``,
+    for seeds on which no single eigenvector of the doubled radius is
+    semidefinite."""
+    if kind == "VV":
+        V = boundary_system(2)
+        return V, direct_sum(V, V)
+    if kind == "disguised":
+        V = boundary_system(0)
+        rng = np.random.default_rng(0)
+        J = SystemMap(AB, {a: random_unitary(rng, 4) for a in AB.letters})
+        return V, conjugate(direct_sum(V, V), J)
+    V = boundary_system(6)
+    return V, direct_sum(direct_sum(V, V), V)
+
+
+@pytest.mark.parametrize("kind", ["VV", "disguised", "VVV"])
+def test_repeated_boundary_radius_certifies(monkeypatch, kind):
+    # The eig scan finds no semidefinite eigenvector here; the spectral
+    # projection of the identity onto the leading eigenvectors is one.
+    V, total = repeated_boundary_sum(kind)
+    rho_v, _ = pf_eigenpair(V)
+    dense = CountDense(monkeypatch)
+    rho, forms = pf_eigenpair(total)
+    assert dense.calls == 1
+    assert abs(rho - rho_v) <= 1e-10 * rho_v
+    assert_eigenpair(total, rho, forms)
+    out, rho_n = normalize_to_compatible(total)
+    assert rho_n == rho
+    assert compatibility_defect(out) <= 1e-9
+    for a in AB.letters:
+        assert is_psd(out.B(a))

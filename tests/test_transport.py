@@ -24,6 +24,7 @@ from freemult.errors import InputError, InternalCheckError, ValidationError
 from freemult.multfunc import (
     MultiplicativeFunction,
     evaluate,
+    functions_close,
     inner_product,
     norm2,
     shadow,
@@ -124,6 +125,14 @@ def test_restrict_function_inner_products(fs2, rng):
     rf = restrict_function(fs2, sys, f, restricted=rsys)
     rg = restrict_function(fs2, sys, g, restricted=rsys)
     assert inner_product(rf, rg) == pytest.approx(inner_product(f, g), abs=1e-9)
+
+
+def test_restrict_function_restricts_the_system_by_default(fs2, fs3, rng):
+    for fs in (fs2, fs3):
+        sys = random_compatible(rng, max_dim=2)
+        f = random_function(rng, sys, 2)
+        given = restrict_function(fs, sys, f, restricted=restrict_system(fs, sys))
+        assert functions_close(restrict_function(fs, sys, f), given, tol=0.0)
 
 
 def test_restricted_chain_matches_ambient_samples(fs2, spherical, rng):
