@@ -29,7 +29,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .multfunc import MultiplicativeFunction, evaluate, sample_then_refine
+from .multfunc import MultiplicativeFunction, _evaluator, sample_then_refine
 from .subgroup import automaton_from_generators
 from .system import MatrixSystem, _assembled
 from .tolerances import COMPAT_TOL
@@ -461,9 +461,12 @@ def intertwine_changegen(
 
     The value of the output at a target word ``x a``, in the block of a
     frontier member ``y`` of ``a``, is the input evaluated at the source
-    word of ``x * expand(y)``.  The output is multiplicative over the
-    transported system, so it is sampled on the smallest sphere the input
-    determines and refined.
+    word of ``x * expand(y)``.  Spelling is a homomorphism and undoes
+    ``expand``, so that word is ``spell(x) * y``; ``spell(x)`` is built
+    once per prefix ``x`` from the one of ``x`` without its last letter,
+    and each source prefix is carried once per call.  The output is
+    multiplicative over the transported system, so it is sampled on the
+    smallest sphere the input determines and refined.
     """
     if f.system is not sys and not f.system.close_to(sys):
         raise InputError("function does not live over the given system")
@@ -472,23 +475,30 @@ def intertwine_changegen(
     al = gm.target
     n_out = depth if depth is not None else max(2, f.depth * gm.stretch_to_target)
     blocks = {
-        a: [
-            (sys.dims[last_letter(y)], gm.expand(y))
-            for y in _letter_frontier(gm, a).members
-        ]
+        a: [(sys.dims[last_letter(y)], y.data) for y in _letter_frontier(gm, a).members]
         for a in al.letters
     }
+    back, rank = gm._back_table, al.rank
+    spelled: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
+
+    def spell(x: tuple[int, ...]) -> tuple[int, ...]:
+        s = spelled.get(x)
+        if s is None:
+            s = spelled[x] = _k.multiply(spell(x[:-1]), back[x[-1] + rank])
+        return s
+
+    value = _evaluator(f)
 
     def sample(xa: Word) -> np.ndarray | None:
         a = last_letter(xa)
-        x = drop_last(xa)
+        head = spell(xa.data[:-1])
         vec = np.zeros(transported.dims[a], dtype=complex)
         pos = 0
-        for d, image in blocks[a]:
-            s = gm.spell(x * image)
+        for d, y in blocks[a]:
+            s = _k.multiply(head, y)
             if len(s) < f.depth:
                 return None
-            vec[pos : pos + d] = evaluate(f, s)
+            vec[pos : pos + d] = value(s)
             pos += d
         return vec
 

@@ -33,7 +33,10 @@ admissible letter pair, and a child's code is its parent's times ``2r``
 plus the new digit.  A function carried to another system (by a change of
 generators, a restriction or an induction) is multiplicative over that
 system, so ``sample_then_refine`` samples it on the smallest sphere the
-input determines and propagates from there.
+input determines and propagates from there.  Evaluation past the depth,
+by ``evaluate``, ``norm_via_subtree`` and those samplers, carries each
+prefix once per call: a stored prefix is found by binary search and the
+value at every longer prefix is kept for the rest of the call.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .errors import InputError, InternalCheckError, ResourceLimitError, ValidationError
-from .system import MatrixSystem, _carry
+from .system import MatrixSystem
 from .tolerances import FUNCTIONS_CLOSE_TOL
 from .words import Alphabet, FiniteSubtree, Word, last_letter, sphere
 
@@ -340,6 +343,42 @@ def sample_then_refine(
     )
 
 
+def _evaluator(f: MultiplicativeFunction):
+    """``value(data)``: the value of ``f`` at the word with signed letters
+    ``data``, of length at least the depth.
+
+    A word of the depth is looked up by binary search; a longer word is
+    ``H(last, prev)`` times the value at its prefix.  Each prefix is carried
+    once: the values are kept in a memo that lives as long as the returned
+    function, which callers hold for one call.  A prefix of the depth that
+    is not stored leaves the value zero without any product.
+    """
+    al, sysm, n = f.alphabet, f.system, f.depth
+    letter, order = al._from_int, al._order
+    memo: dict[tuple[int, ...], np.ndarray | None] = {}
+
+    def stored(data: tuple[int, ...]) -> np.ndarray | None:
+        codes, V = f._group(order[data[-1]])
+        code = _encode(al, data)
+        i = int(np.searchsorted(codes, code))
+        return V[i] if i < len(codes) and codes[i] == code else None
+
+    def value(data: tuple[int, ...]) -> np.ndarray:
+        k = len(data)
+        while k > n and data[:k] not in memo:
+            k -= 1
+        v = memo[data[:k]] if k > n else stored(data[:n])
+        for j in range(k, len(data)):
+            if v is not None:
+                v = sysm.H(letter[data[j]], letter[data[j - 1]]) @ v
+            memo[data[: j + 1]] = v
+        if v is None:
+            return np.zeros(sysm.dims[letter[data[-1]]], dtype=complex)
+        return v
+
+    return value
+
+
 def evaluate(f: MultiplicativeFunction, y: Word) -> np.ndarray:
     """Value of ``f`` at a word of length at least the depth."""
     if y.alphabet != f.alphabet:
@@ -348,15 +387,7 @@ def evaluate(f: MultiplicativeFunction, y: Word) -> np.ndarray:
         raise ValidationError(
             f"value at {y} (length {len(y)}) is not determined at depth {f.depth}"
         )
-    al = f.alphabet
-    codes, V = f._group(al._order[y.data[f.depth - 1]])
-    code = _encode(al, y.data[: f.depth])
-    i = int(np.searchsorted(codes, code))
-    if i == len(codes) or codes[i] != code:
-        return np.zeros(f.system.dims[last_letter(y)], dtype=complex)
-    start = al._from_int[y.data[f.depth - 1]]
-    v, _ = _carry(f.system, start, y.data[f.depth :], V[i])
-    return v
+    return _evaluator(f)(y.data)
 
 
 def _same_system(f: MultiplicativeFunction, g: MultiplicativeFunction) -> bool:
@@ -460,9 +491,10 @@ def norm_via_subtree(f: MultiplicativeFunction, tree: FiniteSubtree) -> float:
         raise ValidationError(
             "subtree must contain the ball of the function's depth"
         )
+    value = _evaluator(f)
     total = 0.0
     for t in tree.terminals:
-        v = evaluate(f, t)
+        v = value(t.data)
         total += float((v.conj() @ f.system.B(last_letter(t)) @ v).real)
     return total
 

@@ -313,6 +313,18 @@ def pf_eigenpair(sys: MatrixSystem, tol: float = PF_TOL) -> tuple[float, FormTup
     return rho, {a: x[s, s] for a, s in sys._slices.items()}
 
 
+def _psd_part(x: np.ndarray) -> np.ndarray:
+    """``x`` itself when its Hermitian part has no negative eigenvalue,
+    else that Hermitian part with its negative eigenvalues set to zero."""
+    if x.size == 0:
+        return x
+    w, Q = np.linalg.eigh((x + x.conj().T) / 2)
+    if w[0] >= 0:
+        return x
+    p = (Q * np.maximum(w, 0)) @ Q.conj().T
+    return (p + p.conj().T) / 2
+
+
 def normalize_to_compatible(
     sys: MatrixSystem, tol: float = PF_TOL
 ) -> tuple[MatrixSystem, float]:
@@ -320,15 +332,20 @@ def normalize_to_compatible(
     becomes compatible.
 
     Divides every ``H`` by the square root of the spectral radius and
-    installs the leading eigentuple as the forms.  Returns the normalized
-    system and the spectral radius of the input.  Fails when the spectral
-    radius vanishes.
+    installs the leading eigentuple as the forms.  The eigentuple is
+    certified semidefinite only up to ``EIGENTUPLE_PSD_TOL``, looser than
+    the forms' ``PSD_TOL``, so a block with a negative eigenvalue is
+    installed as its semidefinite part (those eigenvalues set to zero);
+    the compatibility check below covers the change.  Returns the
+    normalized system and the spectral radius of the input.  Fails when the
+    spectral radius vanishes.
     """
     rho, forms = pf_eigenpair(sys, tol)
     if rho <= tol:
         raise ValidationError(
             "system is degenerate: the transfer operator has spectral radius zero"
         )
+    forms = {a: _psd_part(x) for a, x in forms.items()}
     out = sys.scale_H(1.0 / np.sqrt(rho)).with_forms(forms)
     defect = compatibility_defect(out)
     if defect > max(tol, NORMALIZED_DEFECT_FLOOR) * NORMALIZED_DEFECT_SLACK:

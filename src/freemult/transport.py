@@ -16,7 +16,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .errors import InputError, InternalCheckError, ValidationError
-from .multfunc import MultiplicativeFunction, evaluate, sample_then_refine
+from .multfunc import MultiplicativeFunction, _evaluator, sample_then_refine
 from .subgroup import FundamentalSubtree, decompose_left
 from .system import MatrixSystem, _assembled
 from .tolerances import COMPAT_TOL
@@ -64,13 +64,15 @@ def restrict_function(
     The value at a subgroup word ``y b``, with ``b`` its final letter, is
     the input evaluated at ``expand(y)`` times the contact vertex of
     ``b``.  The output is multiplicative over the restricted system, so it
-    is sampled on the smallest sphere the input determines and refined.
+    is sampled on the smallest sphere the input determines and refined;
+    each prefix of an input word is carried once per call.
     """
     if f.system is not sys and not f.system.close_to(sys):
         raise InputError("function does not live over the given system")
     if restricted is None:
         restricted = restrict_system(fs, sys)
     n_out = depth if depth is not None else f.depth
+    value = _evaluator(f)
 
     def sample(yb: Word) -> np.ndarray | None:
         b = last_letter(yb)
@@ -82,7 +84,7 @@ def restrict_function(
                 f"sample for {yb} ends at {last_letter(s)!r}, "
                 f"not the contact letter {fs.contact_letter[b]!r}"
             )
-        return evaluate(f, s)
+        return value(s.data)
 
     return sample_then_refine(restricted, n_out, sample, f.depth, depth_cap)
 
@@ -186,6 +188,7 @@ def induce_function(
         if depth is not None
         else stretch * (n_max + 1) + 2 * d_max + 1
     )
+    evaluators = {v: _evaluator(g) for v, g in family.items()}
 
     def sample(xa: Word) -> np.ndarray | None:
         a = last_letter(xa)
@@ -202,15 +205,14 @@ def induce_function(
                     f"tile shift {v} for {xa} left the subgroup"
                 )
             w = _tile_word(fs, h * fs.gamma_of[c])
-            member = family[v]
-            if len(w) < member.depth:
+            if len(w) < family[v].depth:
                 return None
             if last_letter(w) != c:
                 raise InternalCheckError(
                     f"sample word for ({u}, {c}) at {xa} ends at "
                     f"{last_letter(w)!r}"
                 )
-            vec[pos : pos + d] = evaluate(member, w)
+            vec[pos : pos + d] = evaluators[v](w.data)
             pos += d
         return vec
 

@@ -9,6 +9,8 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freemult import (
     GeneratorMap,
@@ -192,6 +194,24 @@ def test_partition_identities_random_maps(rng):
                     member, _ = _frontier_projection(gm, fronts[a], g)
                     proj.add(member)
             assert proj == set(fronts[a].members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.sampled_from("aAbB"), max_size=8),
+    st.lists(st.sampled_from("aAbB"), max_size=8),
+)
+def test_spelling_splits_off_an_expanded_factor(seed, xs, ys):
+    # intertwine_changegen samples at spell(x) * y instead of
+    # spell(x * expand(y)), building spell(x) one target letter at a time
+    gm = random_nielsen_map(np.random.default_rng(seed))
+    x, y = AB.word(xs), AB.word(ys)
+    head = AB.identity
+    for c in x.letters():
+        head = head * gm.back_images[c]
+    assert head == gm.spell(x)
+    assert gm.spell(x * gm.expand(y)) == head * y
 
 
 def test_frontier_members_are_minimal_and_included(rng):

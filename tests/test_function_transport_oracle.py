@@ -6,7 +6,8 @@ replaced.
 input determines and refine it over the output system.  The references
 below are the earlier implementations: they evaluate the input at every
 word of the requested output sphere (and ``act`` walks every extension of
-the support by up to ``2 |x|`` letters).  Values and supports must agree
+the support by up to ``2 |x|`` letters), carrying each value letter by
+letter from its stored prefix, apart from the package's evaluation.  Values and supports must agree
 at every output depth from one below the smallest valid one up to the
 default, and both must reject the too-shallow depth with a
 ``ValidationError``.
@@ -19,10 +20,10 @@ import pytest
 
 from freemult import (
     GeneratorMap,
+    MatrixSystem,
     MultiplicativeFunction,
     act,
     compute_Y,
-    evaluate,
     induce_function,
     induce_system,
     intertwine_changegen,
@@ -52,6 +53,21 @@ CHANGEGEN_MAPS = (
 
 
 # ------------------------------------------------------------ references
+
+
+def reference_value(f: MultiplicativeFunction, y: Word) -> np.ndarray:
+    """Value of ``f`` at a word of length at least the depth: the stored
+    value at its prefix, carried one transfer per further letter."""
+    al, sysm = f.alphabet, f.system
+    head = Word(al, y.data[: f.depth])
+    if head not in f.values:
+        return np.zeros(sysm.dims[last_letter(y)], dtype=complex)
+    v, prev = f.values[head], last_letter(head)
+    for i in y.data[f.depth :]:
+        cur = al._from_int[i]
+        v = sysm.H(cur, prev) @ v
+        prev = cur
+    return v
 
 
 def reference_act(x: Word, f: MultiplicativeFunction) -> MultiplicativeFunction:
@@ -97,7 +113,7 @@ def reference_restrict(fs, f, restricted, n_out):
             )
         if last_letter(sample) != fs.contact_letter[b]:
             raise InternalCheckError("sample does not end at the contact letter")
-        vec = evaluate(f, sample)
+        vec = reference_value(f, sample)
         if np.any(vec):
             values[yb] = vec
     return MultiplicativeFunction(restricted, n_out, values)
@@ -128,7 +144,7 @@ def reference_induce(fs, subsys, family, induced, n_out):
                 )
             if last_letter(w) != c:
                 raise InternalCheckError("sample word ends at the wrong letter")
-            vec[pos : pos + d] = evaluate(member, w)
+            vec[pos : pos + d] = reference_value(member, w)
             pos += d
         if np.any(vec):
             values[xa] = vec
@@ -156,7 +172,7 @@ def reference_intertwine(gm, sys, f, transported, n_out):
                 raise ValidationError(
                     f"output depth {n_out} is too small for input depth {f.depth}"
                 )
-            vec[pos : pos + d] = evaluate(f, s)
+            vec[pos : pos + d] = reference_value(f, s)
             pos += d
         if np.any(vec):
             values[xa] = vec
@@ -190,6 +206,16 @@ def assert_same(got: MultiplicativeFunction, want: MultiplicativeFunction) -> No
     scale = max((np.linalg.norm(v) for v in want.values.values()), default=1.0)
     for w, v in want.values.items():
         assert np.linalg.norm(got.values[w] - v) <= 1e-12 * scale, w
+
+
+def assert_identical(got: MultiplicativeFunction, want: MultiplicativeFunction) -> None:
+    """Equal codes and bitwise equal values, letter by letter."""
+    assert got.system is want.system
+    assert got.depth == want.depth
+    assert got._groups.keys() == want._groups.keys()
+    for t, (codes, V) in want._groups.items():
+        assert np.array_equal(got._groups[t][0], codes)
+        assert np.array_equal(got._groups[t][1], V)
 
 
 def compare_over_depths(new, old, default: int) -> int:
@@ -276,9 +302,58 @@ def test_intertwine_changegen_matches_reference(rng, images):
     moved = transport_system(gm, sys0)
     for f in (random_function(rng, sys0, 2), random_function(rng, sys0, 2, support=3)):
         default = max(2, f.depth * gm.stretch_to_target)
-        compare_over_depths(
+        n0 = compare_over_depths(
             lambda n: intertwine_changegen(gm, sys0, f, transported=moved, depth=n),
             lambda n: reference_intertwine(gm, sys0, f, moved, n),
             default=default,
         )
+        # at the sampling depth the output is the samples themselves, made
+        # of the same products in the same order as the reference's
+        assert_identical(
+            intertwine_changegen(gm, sys0, f, transported=moved, depth=n0),
+            reference_intertwine(gm, sys0, f, moved, n0),
+        )
         assert intertwine_changegen(gm, sys0, f, transported=moved).depth == default
+
+
+def test_intertwine_changegen_carries_each_source_prefix_once(rng, monkeypatch):
+    gm = GeneratorMap(AB, AB, CHANGEGEN_MAPS[0])
+    sys0 = random_compatible(rng, max_dim=2)
+    moved = transport_system(gm, sys0)
+    f = random_function(rng, sys0, 2)
+
+    # The sample words in the order the sampler visits them: sphere by
+    # sphere, each up to its first word shorter than the depth.
+    members = {a: compute_Y(gm, AB.word(a)).members for a in AB.letters}
+    words, n = [], 0
+    while True:
+        n += 1
+        short = False
+        for xa in sphere(AB, n):
+            for y in members[last_letter(xa)]:
+                s = gm.spell(drop_last(xa) * gm.expand(y))
+                if len(s) < f.depth:
+                    short = True
+                    break
+                words.append(s.data)
+            if short:
+                break
+        if not short:
+            break
+    prefixes = {s[:k] for s in words for k in range(f.depth + 1, len(s) + 1)}
+    steps = sum(len(s) - f.depth for s in words)
+    assert len(prefixes) < steps
+
+    source_calls = 0
+    H = MatrixSystem.H
+
+    def counting_H(self, b, a):
+        nonlocal source_calls
+        if self is sys0:
+            source_calls += 1
+        return H(self, b, a)
+
+    monkeypatch.setattr(MatrixSystem, "H", counting_H)
+    out = intertwine_changegen(gm, sys0, f, transported=moved, depth=n)
+    assert out.depth == n
+    assert source_calls == len(prefixes)

@@ -591,3 +591,19 @@ def test_repeated_boundary_radius_certifies(monkeypatch, kind):
     assert compatibility_defect(out) <= 1e-9
     for a in AB.letters:
         assert is_psd(out.B(a))
+
+
+def test_normalize_installs_semidefinite_part_of_certified_forms():
+    # The certified eigentuple of V + V has relative smallest eigenvalues
+    # of about -2.6e-8: semidefinite at EIGENTUPLE_PSD_TOL but not at the
+    # forms' PSD_TOL, so normalization installs their semidefinite parts.
+    V = boundary_system(26)
+    total = direct_sum(V, V)
+    rho, forms = pf_eigenpair(total)
+    assert not all(is_psd(m) for m in forms.values())
+    out, rho_n = normalize_to_compatible(total)
+    assert rho_n == rho
+    assert compatibility_defect(out) <= 1e-9
+    for a in AB.letters:
+        assert is_psd(out.B(a))
+        assert np.linalg.norm(out.B(a) - forms[a]) <= 1e-7 * np.linalg.norm(forms[a])
