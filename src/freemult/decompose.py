@@ -34,11 +34,12 @@ from .system import (
     SystemMap,
     _blockdiag,
     _compressed,
+    _excess,
+    _intertwining_excess,
+    _invariance_excess,
     _snorm,
     _transfer,
     compatibility_defect,
-    invariance_defect,
-    map_residual,
     null_space,
     orthonormal_columns,
     orthogonal_complement,
@@ -52,6 +53,7 @@ from .tolerances import (
     EIG_CLUSTER_RTOL,
     KERNEL_RTOL,
     POSITIVITY_SLACK,
+    RANK_RTOL,
     RHO_BAND,
     RHO_CEILING,
     ROUTE_RTOL,
@@ -125,6 +127,17 @@ def _closure(
     blocks stacked side by side in its letter's rows, and grows the span at
     every letter that is not yet full by the rows of that letter; it stops
     when a sweep adds nothing.
+
+    A letter's span grows only when the rank cut of ``[W, img]`` keeps
+    more than the ``k`` columns of its basis ``W``, so two exact bounds
+    skip the SVD whose answer is known.  With ``k >= 1``, the residual
+    ``R = img - W W* img`` gives ``sigma_{k+1}([W, img]) <= ||R||_2 <=
+    ||R||_F`` (Eckart-Young: ``[W, W W* img]`` has rank at most ``k``),
+    and ``sigma_1 >= sigma_1(W) >= 1`` (each column of ``W`` has norm at
+    least one); so ``||R||_F <= RANK_RTOL / 2`` keeps every further
+    singular value below the cut, the half absorbing the rounding of ``R``
+    and of the SVD.  With ``k = 0``, an image that is exactly zero has no
+    singular value above the cut.
     """
     letters, dims, rows = sys.alphabet.letters, sys.dims, sys._slices
     changed = True
@@ -142,7 +155,14 @@ def _closure(
             if kc == dims[c] * width:
                 continue
             img = images[rows[c]].transpose(0, 2, 1).reshape(dims[c] * width, k)
-            q = orthonormal_columns(np.hstack([basis[c], img]))
+            w = basis[c]
+            if kc:
+                known = np.linalg.norm(img - w @ (w.conj().T @ img)) <= RANK_RTOL / 2
+            else:
+                known = not img.any()
+            if known:
+                continue
+            q = orthonormal_columns(np.hstack([w, img]))
             if q.shape[1] > kc:
                 basis[c] = q
                 changed = True
@@ -180,7 +200,7 @@ def _annihilator(sub: Subsystem, sys: MatrixSystem) -> Subsystem:
 def _is_proper_invariant(sys: MatrixSystem, sub: Subsystem) -> bool:
     if sub.is_zero() or sub.is_full(sys):
         return False
-    return invariance_defect(sys, sub) <= DECOMPOSE_INV_TOL
+    return _invariance_excess(sys, sub, DECOMPOSE_INV_TOL) is None
 
 
 def _loop_algebra(sys: MatrixSystem, a: str) -> np.ndarray:
@@ -211,7 +231,10 @@ def find_proper_invariant(sys: MatrixSystem) -> Subsystem | None:
     ``V_a`` in the dual system when that is proper; else ``None`` when the
     loop algebra ``M_a`` is all of ``End(V_a)``, since then an invariant
     subsystem is either full at ``a`` (hence full) or zero at ``a`` (hence
-    annihilated by every path into ``a``, hence zero).  Otherwise ``V_a``
+    annihilated by every path into ``a``, hence zero).  The annihilator of
+    a full dual closure is zero, which is never proper, so it is not
+    computed (its ``null_space`` SVDs could only return empty bases).
+    Otherwise ``V_a``
     is a reducible ``M_a``-module (Burnside), and for each eigenvalue of a
     fixed generic element ``theta`` of ``M_a`` one eigenvector of
     ``theta`` is spun under ``M_a`` and one of ``theta*`` under ``M_a*``
@@ -228,9 +251,11 @@ def find_proper_invariant(sys: MatrixSystem) -> Subsystem | None:
     cand = closure_subsystem(sys, whole)
     if _is_proper_invariant(sys, cand):
         return cand
-    cand = _annihilator(closure_subsystem(_dual_system(sys), whole), sys)
-    if _is_proper_invariant(sys, cand):
-        return cand
+    dual = closure_subsystem(_dual_system(sys), whole)
+    if not dual.is_full(sys):
+        cand = _annihilator(dual, sys)
+        if _is_proper_invariant(sys, cand):
+            return cand
 
     mats = _loop_algebra(sys, a)
     if mats.shape[0] == d * d:
@@ -333,8 +358,9 @@ def _split_off_component(
     p = _blockdiag([proj[a] for a in al.letters])
     bt = p.conj().T @ _blockdiag([forms_t[a] for a in al.letters]) @ p
     scale_bt = _snorm(bt)
-    drift = _snorm(_transfer(sys, bt) - bt)
-    if drift > DECOMPOSE_INV_TOL * max(1.0, scale_bt):
+    gap = _transfer(sys, bt) - bt
+    drift = _excess(gap, DECOMPOSE_INV_TOL, lambda: _snorm(gap), lambda: scale_bt)
+    if drift is not None:
         raise InternalCheckError(
             f"pulled-back quotient eigentuple drifts under transfer: {drift:.3e}"
         )
@@ -358,14 +384,15 @@ def _split_off_component(
 
     # Kernel of the residual form at each letter carries the summand.
     resid = sys._B - lam0 * bt
-    w0 = {}
+    w0, b_norms = {}, {}
     for a, s in sl.items():
         r = resid[s, s]
         if r.size == 0:
             w0[a] = np.zeros((0, 0), dtype=complex)
             continue
         evals, vecs = np.linalg.eigh((r + r.conj().T) / 2)
-        cut = KERNEL_RTOL * max(1.0, float(np.linalg.norm(sys.B(a), 2)))
+        b_norms[a] = float(np.linalg.norm(sys.B(a), 2))
+        cut = KERNEL_RTOL * max(1.0, b_norms[a])
         if evals[0] < -cut * POSITIVITY_SLACK:
             raise InternalCheckError(
                 f"residual form at {a!r} lost positivity: {evals[0]:.3e}"
@@ -378,8 +405,8 @@ def _split_off_component(
             f"kernel dimensions {w0_sub.dims()} do not match the quotient "
             f"dimensions {expected}"
         )
-    defect = invariance_defect(sys, w0_sub)
-    if defect > DECOMPOSE_INV_TOL:
+    defect = _invariance_excess(sys, w0_sub, DECOMPOSE_INV_TOL)
+    if defect is not None:
         raise InternalCheckError(
             f"splitting kernel must be invariant; defect {defect:.3e}"
         )
@@ -389,9 +416,9 @@ def _split_off_component(
     for a, s in sl.items():
         direct = w0[a].conj().T @ sys.B(a) @ w0[a]
         pulled = lam0 * (w0[a].conj().T @ bt[s, s] @ w0[a])
-        if direct.size and np.linalg.norm(direct - pulled, 2) > ROUTE_RTOL * max(
-            1.0, float(np.linalg.norm(sys.B(a), 2))
-        ):
+        gap = direct - pulled
+        off = _excess(gap, ROUTE_RTOL, lambda: _snorm(gap), lambda: b_norms[a])
+        if off is not None:
             raise InternalCheckError(
                 f"restricted forms disagree between the two routes at {a!r}"
             )
@@ -454,13 +481,18 @@ def decompose(
     out: list[tuple[MatrixSystem, SystemMap]] = []
     _decompose_rec(stripped, base, out)
 
-    h_scale = max(sys._block_norms().values(), default=1.0)
     for comp, emb in out:
         cd = compatibility_defect(comp)
         if cd > max(tol, COMPONENT_DEFECT_FLOOR):
             raise InternalCheckError(f"component left incompatible: defect {cd:.3e}")
-        resid = map_residual(comp, sys, emb)
-        if resid > DECOMPOSE_INV_TOL * max(1.0, h_scale):
+        resid = _intertwining_excess(
+            comp,
+            sys,
+            emb,
+            DECOMPOSE_INV_TOL,
+            lambda: max(sys._block_norms().values(), default=1.0),
+        )
+        if resid is not None:
             raise InternalCheckError(
                 f"component embedding fails to intertwine: residual {resid:.3e}"
             )

@@ -55,15 +55,31 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+def _excess(
+    resid: np.ndarray,
+    tol: float,
+    measure: Callable[[], float],
+    scale: Callable[[], float] = lambda: 1.0,
+) -> float | None:
+    """``measure()`` when it exceeds ``tol * max(1, scale())``, else None.
+
+    ``measure`` is the 2-norm of ``resid``, or the largest 2-norm of blocks
+    of ``resid`` each divided by at least one, so the Frobenius norm of the
+    whole of ``resid`` bounds it.  When that norm is at most ``tol`` neither
+    ``measure`` nor ``scale`` runs (they take SVDs); otherwise the
+    comparison is made as written, so every decision and every reported
+    value is the one the SVD-based test gives.
+    """
+    if np.linalg.norm(resid) <= tol:
+        return None
+    value = measure()
+    return None if value <= tol * max(1.0, scale()) else value
+
+
 def _is_hermitian(m: np.ndarray, tol: float) -> bool:
-    """Whether ``||m - m*||_2 <= tol * max(1, ||m||_2)``.  The Frobenius norm
-    of the skew part bounds its 2-norm, so the two SVD-based norms are taken
-    only when it exceeds ``tol``."""
+    """Whether ``||m - m*||_2 <= tol * max(1, ||m||_2)``."""
     skew = m - m.conj().T
-    return bool(
-        np.linalg.norm(skew) <= tol
-        or np.linalg.norm(skew, 2) <= tol * max(1.0, np.linalg.norm(m, 2))
-    )
+    return _excess(skew, tol, lambda: _snorm(skew), lambda: _snorm(m)) is None
 
 
 def is_psd(m: np.ndarray, tol: float = PSD_TOL) -> bool:
@@ -463,9 +479,18 @@ def invariance_defect(sys: MatrixSystem, sub: Subsystem) -> float:
     """Worst ``|| (1 - P_b) H(b,a) W_a ||_2 / max(1, ||H(b,a)||_2)`` over
     the stored pairs, for the subspace bases ``W`` and the orthogonal
     projections ``P`` onto them."""
+    return _worst_invariance(sys, sub, _invariance_residual(sys, sub))
+
+
+def _invariance_residual(sys: MatrixSystem, sub: Subsystem) -> np.ndarray:
+    """The blocks ``(1 - P_b) H(b,a) W_a``, at the rows of ``b`` and the
+    columns of ``sub`` at ``a``; zero at the pairs that are not stored."""
     w = _blockdiag([sub.basis[a] for a in sys.alphabet.letters])
     img = sys._H @ w
-    resid = img - w @ (w.conj().T @ img)
+    return img - w @ (w.conj().T @ img)
+
+
+def _worst_invariance(sys: MatrixSystem, sub: Subsystem, resid: np.ndarray) -> float:
     rows, cols = sys._slices, _layout(sys.alphabet, sub.dims())
     worst = 0.0
     for (b, a), norm in sys._block_norms().items():
@@ -473,6 +498,13 @@ def invariance_defect(sys: MatrixSystem, sub: Subsystem) -> float:
         if r.size:
             worst = max(worst, float(np.linalg.norm(r, 2)) / max(1.0, norm))
     return worst
+
+
+def _invariance_excess(sys: MatrixSystem, sub: Subsystem, tol: float) -> float | None:
+    """:func:`invariance_defect` when it exceeds ``tol``, else None; the
+    block SVDs run only when the residual's Frobenius norm exceeds ``tol``."""
+    resid = _invariance_residual(sys, sub)
+    return _excess(resid, tol, lambda: _worst_invariance(sys, sub, resid))
 
 
 def _compressed(
@@ -492,8 +524,8 @@ def _compressed(
 
 
 def _require_invariant(sys: MatrixSystem, sub: Subsystem, tol: float) -> None:
-    defect = invariance_defect(sys, sub)
-    if defect > tol:
+    defect = _invariance_excess(sys, sub, tol)
+    if defect is not None:
         raise ValidationError(
             f"subsystem is not invariant within tolerance: defect {defect:.3e}"
         )
@@ -600,17 +632,43 @@ def map_residual(
                 f"map block for {a!r} has shape {m.shape}, expected "
                 f"{(target.dims[a], source.dims[a])}"
             )
+    return _worst_gap(source, target, _intertwining_gap(source, target, J))
+
+
+def _intertwining_gap(
+    source: MatrixSystem, target: MatrixSystem, J: SystemMap
+) -> np.ndarray:
+    """The blocks ``H_target(b,a) J_a - J_b H_source(b,a)``, at the rows of
+    ``b`` in ``target`` and the columns of ``a`` in ``source``; zero at the
+    inverse pairs."""
     j = _blockdiag([J[a] for a in source.alphabet.letters])
-    resid = target._H @ j - j @ source._H
+    return target._H @ j - j @ source._H
+
+
+def _worst_gap(source: MatrixSystem, target: MatrixSystem, gap: np.ndarray) -> float:
     rows, cols = target._slices, source._slices
     return max(
         (
-            float(np.linalg.norm(resid[rows[b], cols[a]], 2))
+            float(np.linalg.norm(gap[rows[b], cols[a]], 2))
             for b, a in source.pairs()
             if target.dims[b] and source.dims[a]
         ),
         default=0.0,
     )
+
+
+def _intertwining_excess(
+    source: MatrixSystem,
+    target: MatrixSystem,
+    J: SystemMap,
+    tol: float,
+    scale: Callable[[], float],
+) -> float | None:
+    """:func:`map_residual` when it exceeds ``tol * max(1, scale())``, else
+    None; the block SVDs and ``scale`` run only when the Frobenius norm of
+    the whole gap exceeds ``tol``."""
+    gap = _intertwining_gap(source, target, J)
+    return _excess(gap, tol, lambda: _worst_gap(source, target, gap), scale)
 
 
 def conjugate(

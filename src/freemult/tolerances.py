@@ -19,7 +19,10 @@ FORM_HERMITIAN_RTOL = 1e-12
 # relative bound.  Input forms are validated with it.
 PSD_TOL = 1e-9
 # Singular values at most this share of the largest count as zero
-# (``orthonormal_columns``, ``null_space``).
+# (``orthonormal_columns``, ``null_space``).  ``decompose._closure`` skips
+# the rank cut when the Frobenius norm of the images' residual off the
+# current span, an upper bound of the next singular value, is at most half
+# of this: the half absorbs the rounding of the residual and of the SVD.
 RANK_RTOL = 1e-8
 # Default of ``MatrixSystem.close_to``: the Frobenius norm of each block of
 # the difference of two systems, absolute.

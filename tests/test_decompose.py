@@ -12,6 +12,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freemult import (
     InternalCheckError,
@@ -151,6 +153,86 @@ def test_batched_closure_matches_per_pair_reference(rng):
             assert 0 < got.total_dim < sys0.total_dim
     # the comparison covers proper closures, not only full ones
     assert proper >= 5
+
+
+def parent_closure(sys, basis, width):
+    """``_closure`` before the exact skips: every letter that is not full
+    takes the SVD of its basis beside its images, on every sweep."""
+    letters, dims, rows = sys.alphabet.letters, sys.dims, sys._slices
+    side_by_side = decompose_module._side_by_side
+    changed = True
+    while changed:
+        changed = False
+        k = sum(basis[c].shape[1] for c in letters)
+        images = np.hstack(
+            [
+                sys._H[:, rows[c]] @ side_by_side(basis[c], dims[c], width)
+                for c in letters
+            ]
+        ).reshape(sys.total_dim, k, width)
+        for c in letters:
+            kc = basis[c].shape[1]
+            if kc == dims[c] * width:
+                continue
+            img = images[rows[c]].transpose(0, 2, 1).reshape(dims[c] * width, k)
+            q = orthonormal_columns(np.hstack([basis[c], img]))
+            if q.shape[1] > kc:
+                basis[c] = q
+                changed = True
+    return basis
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim_list=st.lists(st.integers(0, 8), min_size=4, max_size=4),
+    width=st.integers(1, 3),
+    rotate=st.booleans(),
+    factor=st.sampled_from([None, 0.25, 0.5, 1.0, 2.0]),
+)
+def test_closure_skips_keep_every_basis(seed, dim_list, width, rotate, factor):
+    # Seeds W_c (x) S for spaces W_c that a block upper triangular system
+    # keeps invariant; one transfer block is perturbed out of W by a rank-one
+    # term scaled so that the first sweep's residual img - W W* img at its
+    # target has Frobenius norm factor * RANK_RTOL.  Without rotation the
+    # unperturbed images are exact, so letters with no seed get exactly zero
+    # images.  The closure must return the bases of the SVD-per-letter sweep
+    # bit for bit.
+    rng = np.random.default_rng(seed)
+    dims = dict(zip(AB.letters, dim_list))
+    k = {a: int(rng.integers(0, dims[a] + 1)) for a in AB.letters}
+    U = {
+        a: random_unitary(rng, dims[a]) if rotate and dims[a] else np.eye(dims[a])
+        for a in AB.letters
+    }
+    H = {}
+    for b, a in _pairs(AB):
+        if not dims[a] or not dims[b] or rng.random() < 0.3:
+            continue
+        m = rng.standard_normal((dims[b], dims[a])) + 1j * rng.standard_normal(
+            (dims[b], dims[a])
+        )
+        m[k[b] :, : k[a]] = 0
+        if m.any():
+            # small blocks keep the largest singular value near one, so a
+            # residual of 2 * RANK_RTOL can pass the rank cut
+            H[(b, a)] = U[b] @ (0.1 * m / np.linalg.norm(m, 2)) @ U[a].conj().T
+    s = random_unitary(rng, width)[:, : int(rng.integers(1, width + 1))]
+    if factor is not None:
+        targets = [
+            (b, a) for b, a in _pairs(AB) if k[a] and k[b] < dims[b]
+        ]
+        if targets:
+            b, a = targets[int(rng.integers(len(targets)))]
+            eps = factor * tolerances.RANK_RTOL / np.sqrt(s.shape[1])
+            kick = eps * np.outer(U[b][:, k[b]], U[a][:, 0].conj())
+            H[(b, a)] = H.get((b, a), np.zeros((dims[b], dims[a]))) + kick
+    sys0 = MatrixSystem(AB, dims, H, {a: np.eye(dims[a]) for a in AB.letters})
+    basis = {a: np.kron(U[a][:, : k[a]], s) for a in AB.letters}
+    got = decompose_module._closure(sys0, dict(basis), width)
+    want = parent_closure(sys0, dict(basis), width)
+    for a in AB.letters:
+        assert np.array_equal(got[a], want[a])
 
 
 def test_strip_null_directions(spherical):
@@ -435,6 +517,47 @@ def test_each_component_is_searched_once(monkeypatch, rng):
             # the input, its irreducible quotient, the split-off summand and
             # the remainder
             assert len(searched) == 4
+
+
+def test_decompose_takes_no_svd_a_bound_decides(monkeypatch, rng):
+    # On a hidden 2-piece sum every invariance and intertwining decision
+    # passes on the Frobenius norm of its residual, so none takes a 2-norm,
+    # and no full dual closure is annihilated (before, each took four
+    # null_space SVDs to reach the zero subsystem).
+    pieces, total = planted_sum(rng, 2)
+    J = SystemMap(AB, {a: random_unitary(rng, total.dims[a]) for a in AB.letters})
+    hidden = conjugate(total, J)
+    measures = {
+        "invariance_defect",
+        "_worst_invariance",
+        "map_residual",
+        "_worst_gap",
+        "_block_norms",
+    }
+    taken, annihilated = [], []
+    norm, annihilator = np.linalg.norm, decompose_module._annihilator
+
+    def counted(x, *args, **kwargs):
+        if (args[0] if args else kwargs.get("ord")) == 2:
+            frame, names = _sys._getframe(1), set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            taken.extend(names & measures)
+        return norm(x, *args, **kwargs)
+
+    def recorded(sub, sys0):
+        annihilated.append(sub.is_full(sys0))
+        return annihilator(sub, sys0)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    monkeypatch.setattr(decompose_module, "_annihilator", recorded)
+    parts = decompose(hidden)
+    monkeypatch.undo()
+    dims = Counter(tuple(sorted(c.dims.items())) for c, _ in parts)
+    assert dims == Counter(tuple(sorted(p.dims.items())) for p in pieces)
+    assert taken == []
+    assert not any(annihilated)
 
 
 def test_non_unitary_disguise_recovers_planted_dims(rng):

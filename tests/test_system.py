@@ -22,12 +22,17 @@ from freemult import (
     map_residual,
     quotient_system,
     restrict_to_subsystem,
+    tolerances,
 )
 from freemult.system import (
     _blockdiag,
     _checked_form,
+    _excess,
+    _intertwining_excess,
+    _invariance_excess,
     _is_hermitian,
     _layout,
+    _snorm,
     apply_transfer,
     is_psd,
     orthogonal_complement,
@@ -255,6 +260,22 @@ def ref_map_residual(source, target, J):
     return worst
 
 
+def parent_map_residual(source, target, J):
+    """``map_residual`` as it was before its residual array was shared with
+    ``decompose``."""
+    j = _blockdiag([J[a] for a in source.alphabet.letters])
+    resid = target._H @ j - j @ source._H
+    rows, cols = target._slices, source._slices
+    return max(
+        (
+            float(np.linalg.norm(resid[rows[b], cols[a]], 2))
+            for b, a in source.pairs()
+            if target.dims[b] and source.dims[a]
+        ),
+        default=0.0,
+    )
+
+
 def ref_compress(sys, basis):
     """``(H, B)`` dicts of ``Q* H Q`` and ``Q* B Q``, pair by pair."""
     H = {
@@ -473,3 +494,80 @@ def test_hermitian_forms_take_no_spectral_norm(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted)
     MatrixSystem(AB, dims, H, B)
     assert orders and 2 not in orders
+
+
+# ------------------------------ Frobenius-first tolerance tests against the SVD
+
+
+def scaled(m, norm):
+    """``m`` rescaled to the given 2-norm (zero stays zero)."""
+    n = np.linalg.norm(m, 2) if m.size else 0.0
+    return m * (norm / n) if n else m
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim_list=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    defect=st.floats(-3.0, 3.0),
+    scale=st.floats(-3.0, 3.0),
+    tol=st.sampled_from(
+        [tolerances.INVARIANT_TOL, tolerances.DECOMPOSE_INV_TOL, tolerances.ROUTE_RTOL]
+    ),
+)
+def test_frobenius_first_keeps_every_decision(seed, dim_list, defect, scale, tol):
+    # Residuals of about 10**defect times the tolerance over scales (block
+    # norms, form norms) of 10**scale: each check that first tests the
+    # Frobenius norm of its residual decides as the 2-norm test before it
+    # did, and reports the same value when it fails.
+    rng = np.random.default_rng(seed)
+    dims = dict(zip(AB.letters, dim_list))
+    size, s = tol * 10.0**defect, 10.0**scale
+
+    # invariance: the first k_a coordinates of a block upper triangular
+    # system, rotated, with the blocks that leave them perturbed
+    k = {a: int(rng.integers(0, dims[a] + 1)) for a in AB.letters}
+    U = {a: random_unitary(rng, dims[a]) for a in AB.letters}
+    H = {}
+    for b, a in _pairs(AB):
+        m = scaled(cmat(rng, dims[b], dims[a]), s)
+        m[k[b] :, : k[a]] = scaled(
+            cmat(rng, dims[b] - k[b], k[a]), size * max(1.0, s) * rng.uniform(0.5, 1)
+        )
+        H[(b, a)] = U[b] @ m @ U[a].conj().T
+    sys0 = MatrixSystem(AB, dims, H, {a: np.eye(dims[a]) for a in AB.letters})
+    sub = Subsystem(AB, {a: U[a][:, : k[a]] for a in AB.letters})
+    want = parent_invariance_defect(sys0, sub)
+    assert _invariance_excess(sys0, sub, tol) == (want if want > tol else None)
+    try:
+        restrict_to_subsystem(sys0, sub, tol)
+        accepted = True
+    except ValidationError:
+        accepted = False
+    assert accepted == (want <= tol)
+
+    # drift (a block-diagonal array against the 2-norm of another) and the
+    # route check (one block against a form's 2-norm)
+    drift = _blockdiag(
+        [scaled(cmat(rng, d, d), size * rng.uniform(0.5, 1)) for d in dim_list]
+    )
+    route = scaled(cmat(rng, max(dim_list), max(dim_list)), size)
+    for x in (drift, route):
+        got = _excess(x, tol, lambda: _snorm(x), lambda: s)
+        want = np.linalg.norm(x, 2) if x.size else 0.0
+        assert got == (want if want > tol * max(1.0, s) else None)
+
+    # intertwining: a conjugate of sys0 with its blocks perturbed, against
+    # the largest block norm of the target
+    J = SystemMap(AB, U)
+    conj = conjugate(sys0, J)
+    noisy = {
+        (b, a): conj.H(b, a) + scaled(cmat(rng, dims[b], dims[a]), size * max(1.0, s))
+        for b, a in _pairs(AB)
+    }
+    target = MatrixSystem(AB, dims, noisy, {a: np.eye(dims[a]) for a in AB.letters})
+    want = parent_map_residual(sys0, target, J)
+    assert map_residual(sys0, target, J) == want
+    h_scale = max(target._block_norms().values(), default=1.0)
+    got = _intertwining_excess(sys0, target, J, tol, lambda: h_scale)
+    assert got == (want if want > tol * max(1.0, h_scale) else None)
