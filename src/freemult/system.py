@@ -65,12 +65,14 @@ def _excess(
 
     ``measure`` is the 2-norm of ``resid``, or the largest 2-norm of blocks
     of ``resid`` each divided by at least one, so the Frobenius norm of the
-    whole of ``resid`` bounds it.  When that norm is at most ``tol`` neither
-    ``measure`` nor ``scale`` runs (they take SVDs); otherwise the
-    comparison is made as written, so every decision and every reported
-    value is the one the SVD-based test gives.
+    whole of ``resid`` bounds it.  When that norm is at most ``tol / 2``
+    neither ``measure`` nor ``scale`` runs (they take SVDs); the half
+    absorbs the rounding of both norms, which may put a computed 2-norm an
+    ulp above the computed Frobenius norm.  Otherwise the comparison is made
+    as written, so every decision and every reported value is the one the
+    SVD-based test gives.
     """
-    if np.linalg.norm(resid) <= tol:
+    if np.linalg.norm(resid) <= tol / 2:
         return None
     value = measure()
     return None if value <= tol * max(1.0, scale()) else value
@@ -502,7 +504,8 @@ def _worst_invariance(sys: MatrixSystem, sub: Subsystem, resid: np.ndarray) -> f
 
 def _invariance_excess(sys: MatrixSystem, sub: Subsystem, tol: float) -> float | None:
     """:func:`invariance_defect` when it exceeds ``tol``, else None; the
-    block SVDs run only when the residual's Frobenius norm exceeds ``tol``."""
+    block SVDs run only when the residual's Frobenius norm exceeds
+    ``tol / 2``."""
     resid = _invariance_residual(sys, sub)
     return _excess(resid, tol, lambda: _worst_invariance(sys, sub, resid))
 
@@ -666,7 +669,7 @@ def _intertwining_excess(
 ) -> float | None:
     """:func:`map_residual` when it exceeds ``tol * max(1, scale())``, else
     None; the block SVDs and ``scale`` run only when the Frobenius norm of
-    the whole gap exceeds ``tol``."""
+    the whole gap exceeds ``tol / 2``."""
     gap = _intertwining_gap(source, target, J)
     return _excess(gap, tol, lambda: _worst_gap(source, target, gap), scale)
 
