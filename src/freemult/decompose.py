@@ -15,11 +15,16 @@ smallest nonzero dimension, a system is irreducible exactly when the
 closure of ``V_a`` and the closure of ``V_a`` in the dual system are
 everything and the loop algebra ``M_a`` (the span of the path products
 from ``a`` back to ``a``) is all of ``End(V_a)`` — a Burnside/density
-certificate, computed as a closure of the identity among the maps
-``V_a -> V_c`` by block products with ``H``.  When ``M_a`` is smaller,
-Norton's test from the MeatAxe (Holt and Rees, 1994) spins one eigenvector
-per eigenvalue of a fixed generic element of ``M_a`` and of its adjoint to
-find a proper invariant subsystem.  Every step is deterministic.
+certificate.  One closure serves the first and the third: the closure of
+the identity at ``a`` among the maps ``V_a -> V_c``, by block products with
+``H``, spans the path products from ``a``; their ranges are the closure of
+``V_a``, and at ``a`` they span ``M_a``.  When ``M_a`` is smaller, Norton's
+test from the MeatAxe (Holt and Rees, 1994) spins one eigenvector per
+eigenvalue of a fixed generic element of ``M_a`` and of its adjoint to find
+a proper invariant subsystem, and the dual closure is taken only when it
+finds none.  A summand split off by the kernel construction is not searched
+again: its map to the quotient, which a search has just certified
+irreducible, must be an isomorphism.  Every step is deterministic.
 """
 
 from __future__ import annotations
@@ -51,6 +56,7 @@ from .tolerances import (
     COMPONENT_DEFECT_FLOOR,
     DECOMPOSE_INV_TOL,
     EIG_CLUSTER_RTOL,
+    ISOMORPHISM_SIGMA_MIN,
     KERNEL_RTOL,
     POSITIVITY_SLACK,
     RANK_RTOL,
@@ -203,18 +209,33 @@ def _is_proper_invariant(sys: MatrixSystem, sub: Subsystem) -> bool:
     return _invariance_excess(sys, sub, DECOMPOSE_INV_TOL) is None
 
 
-def _loop_algebra(sys: MatrixSystem, a: str) -> np.ndarray:
-    """Orthonormal basis ``(k, d_a, d_a)`` of the loop algebra at ``a``.
+def _path_maps(sys: MatrixSystem, a: str) -> dict[str, np.ndarray]:
+    """Orthonormal bases of the letterwise spans of the path products from
+    ``a``, the identity at ``a`` included.
 
-    The span of the path products from ``a`` back to ``a``, the identity
-    included, is the closure of the identity at ``a`` among the letterwise
-    spans of maps ``X_c : V_a -> V_c`` under ``X_b -> H(c,b) X_b``.
+    They are the closure of the identity at ``a`` among the letterwise spans
+    of maps ``X_c : V_a -> V_c`` under ``X_b -> H(c,b) X_b``; column ``k``
+    at ``c`` is the row-major ``vec`` of a ``(dims[c], dims[a])`` map.  At
+    ``a`` they span the loop algebra ``M_a``.
     """
     d = sys.dims[a]
     seeds = {c: np.zeros((n * d, 0), dtype=complex) for c, n in sys.dims.items()}
     seeds[a] = np.eye(d, dtype=complex).reshape(-1, 1)
-    # column k is the row-major vec(M_k)
-    return _closure(sys, seeds, d)[a].T.reshape(-1, d, d)
+    return _closure(sys, seeds, d)
+
+
+def _ranges(sys: MatrixSystem, maps: dict[str, np.ndarray], d: int) -> Subsystem:
+    """The closure of ``V_a``, read off the path maps from ``a``: at each
+    letter, the span of their ranges.  A letter whose maps span all of
+    ``Hom(V_a, V_c)`` has full range without an SVD."""
+    basis = {}
+    for c, m in maps.items():
+        n = sys.dims[c]
+        if m.shape[1] == n * d:
+            basis[c] = np.eye(n, dtype=complex)
+        else:
+            basis[c] = orthonormal_columns(_side_by_side(m, n, d))
+    return Subsystem(sys.alphabet, basis)
 
 
 def _spin(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -222,44 +243,13 @@ def _spin(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
     return orthonormal_columns((mats @ v).T)
 
 
-def find_proper_invariant(sys: MatrixSystem) -> Subsystem | None:
-    """A proper nonzero invariant subsystem, or ``None`` as a certificate
-    that the system is irreducible.
-
-    With ``a`` the letter of smallest nonzero dimension: the closure of
-    ``V_a`` when it is proper; else the annihilator of the closure of
-    ``V_a`` in the dual system when that is proper; else ``None`` when the
-    loop algebra ``M_a`` is all of ``End(V_a)``, since then an invariant
-    subsystem is either full at ``a`` (hence full) or zero at ``a`` (hence
-    annihilated by every path into ``a``, hence zero).  The annihilator of
-    a full dual closure is zero, which is never proper, so it is not
-    computed (its ``null_space`` SVDs could only return empty bases).
-    Otherwise ``V_a``
-    is a reducible ``M_a``-module (Burnside), and for each eigenvalue of a
-    fixed generic element ``theta`` of ``M_a`` one eigenvector of
-    ``theta`` is spun under ``M_a`` and one of ``theta*`` under ``M_a*``
-    (Norton's test); the closure of the first proper span, or of the
-    annihilator of the first proper dual span, is returned.
-    """
-    if sys.total_dim == 0:
-        raise InputError("invariant search needs a nonzero system")
-    a = min(
-        (c for c in sys.alphabet.letters if sys.dims[c]), key=lambda c: sys.dims[c]
-    )
+def _norton(sys: MatrixSystem, a: str, mats: np.ndarray) -> Subsystem | None:
+    """Norton's test on the loop algebra ``M_a`` (basis ``mats``): for each
+    eigenvalue of a fixed generic element ``theta``, spin one eigenvector of
+    ``theta`` under ``M_a`` and one of ``theta*`` under ``M_a*``; the closure
+    of the first proper span, or of the orthogonal complement of the first
+    proper adjoint span, when it passes the invariance test."""
     d = sys.dims[a]
-    whole = {a: np.eye(d, dtype=complex)}
-    cand = closure_subsystem(sys, whole)
-    if _is_proper_invariant(sys, cand):
-        return cand
-    dual = closure_subsystem(_dual_system(sys), whole)
-    if not dual.is_full(sys):
-        cand = _annihilator(dual, sys)
-        if _is_proper_invariant(sys, cand):
-            return cand
-
-    mats = _loop_algebra(sys, a)
-    if mats.shape[0] == d * d:
-        return None
     # Fixed unimodular coefficients exp(i sqrt(k)), k = 2, 3, ..., with no
     # algebraic relation among them: theta avoids the non-generic elements
     # (a proper algebraic subset of M_a) without a random draw.
@@ -286,10 +276,61 @@ def find_proper_invariant(sys: MatrixSystem) -> Subsystem | None:
             cand = closure_subsystem(sys, {a: orthogonal_complement(span, d)})
             if _is_proper_invariant(sys, cand):
                 return cand
-    raise InternalCheckError(
-        f"the loop algebra at {a!r} has dimension {mats.shape[0]} < {d * d}, "
-        f"yet no eigenvector of a generic element spins to a proper subspace"
+    return None
+
+
+def find_proper_invariant(sys: MatrixSystem) -> Subsystem | None:
+    """A proper nonzero invariant subsystem, or ``None`` as a certificate
+    that the system is irreducible.
+
+    With ``a`` the letter of smallest nonzero dimension, one closure gives
+    the path maps from ``a`` (:func:`_path_maps`): their ranges are the
+    closure of ``V_a``, returned when it is proper, and at ``a`` they span
+    the loop algebra ``M_a``.  When ``M_a`` is smaller than ``End(V_a)``,
+    ``V_a`` is a reducible ``M_a``-module (Burnside) and Norton's test
+    (:func:`_norton`) looks for a proper invariant subsystem first.  Only
+    when it finds none, or when ``M_a`` is all of ``End(V_a)``, is the
+    closure of ``V_a`` in the dual system taken; the annihilator of a
+    proper one is returned.  ``None`` needs all three: the closure and the
+    dual closure full and ``M_a = End(V_a)``, since then an invariant
+    subsystem is either full at ``a`` (hence full) or zero at ``a`` (hence
+    annihilated by every path into ``a``, hence zero).  A closure that is
+    proper but fails the invariance test, with nothing else found, raises
+    :class:`InternalCheckError` instead of certifying.
+    """
+    if sys.total_dim == 0:
+        raise InputError("invariant search needs a nonzero system")
+    a = min(
+        (c for c in sys.alphabet.letters if sys.dims[c]), key=lambda c: sys.dims[c]
     )
+    d = sys.dims[a]
+    maps = _path_maps(sys, a)
+    reach = _ranges(sys, maps, d)
+    if _is_proper_invariant(sys, reach):
+        return reach
+    # column k of maps[a] is the row-major vec(M_k)
+    mats = maps[a].T.reshape(-1, d, d)
+    full_algebra = mats.shape[0] == d * d
+    if not full_algebra:
+        found = _norton(sys, a, mats)
+        if found is not None:
+            return found
+    dual = closure_subsystem(_dual_system(sys), {a: np.eye(d, dtype=complex)})
+    if not dual.is_full(sys):
+        cand = _annihilator(dual, sys)
+        if _is_proper_invariant(sys, cand):
+            return cand
+    if not full_algebra:
+        raise InternalCheckError(
+            f"the loop algebra at {a!r} has dimension {mats.shape[0]} < {d * d}, "
+            f"yet no eigenvector of a generic element spins to a proper subspace"
+        )
+    if not (reach.is_full(sys) and dual.is_full(sys)):
+        raise InternalCheckError(
+            "a closure of the smallest space is proper but fails the invariance "
+            "test, so irreducibility is not certified"
+        )
+    return None
 
 
 def maximal_invariant(sys: MatrixSystem) -> Subsystem:
@@ -366,13 +407,16 @@ def _split_off_component(
         )
 
     # Largest coefficient keeping B - lambda0 * bt positive semidefinite,
-    # computed letterwise on the whitened pencil.
-    lam_inv = 0.0
+    # computed letterwise on the whitened pencil.  The eigh of each form also
+    # gives its 2-norm, for the kernel cut and the route check below.
+    lam_inv, b_norms = 0.0, {}
     for a, s in sl.items():
-        vanishing = not np.any(np.abs(bt[s, s]) > VANISH_RTOL * max(1.0, scale_bt))
-        if sys.dims[a] == 0 or vanishing:
+        if sys.dims[a] == 0:
             continue
         evals, vecs = np.linalg.eigh(sys.B(a))
+        b_norms[a] = max(-float(evals[0]), float(evals[-1]))
+        if not np.any(np.abs(bt[s, s]) > VANISH_RTOL * max(1.0, scale_bt)):
+            continue
         if evals[0] <= 0:
             raise InternalCheckError("splitting requires strictly positive forms")
         white = vecs @ np.diag(evals**-0.5) @ vecs.conj().T
@@ -384,14 +428,13 @@ def _split_off_component(
 
     # Kernel of the residual form at each letter carries the summand.
     resid = sys._B - lam0 * bt
-    w0, b_norms = {}, {}
+    w0 = {}
     for a, s in sl.items():
         r = resid[s, s]
         if r.size == 0:
             w0[a] = np.zeros((0, 0), dtype=complex)
             continue
         evals, vecs = np.linalg.eigh((r + r.conj().T) / 2)
-        b_norms[a] = float(np.linalg.norm(sys.B(a), 2))
         cut = KERNEL_RTOL * max(1.0, b_norms[a])
         if evals[0] < -cut * POSITIVITY_SLACK:
             raise InternalCheckError(
@@ -427,6 +470,46 @@ def _split_off_component(
     return component, SystemMap(al, w0), rest, SystemMap(al, dict(w.basis))
 
 
+def _certify_isomorphic(
+    component: MatrixSystem, quot: MatrixSystem, iso: SystemMap
+) -> None:
+    """Certify the split-off summand irreducible by its isomorphism with the
+    certified irreducible quotient.
+
+    ``iso`` is ``Q* W0``: the summand's basis ``W0`` followed by the
+    projection ``Q*`` onto the quotient.  It intertwines, since ``W0`` is
+    invariant and ``Q* H = H_quot Q*`` (``Q`` is the complement of an
+    invariant subspace), and it is invertible exactly when ``W0`` meets that
+    subspace only in zero.  Both bases are orthonormal, so the singular
+    values of ``iso`` are at most one, and the smallest is the sine of the
+    smallest angle between ``W0`` and the invariant subspace.  So the summand
+    is irreducible when, at every letter, that sine is at least
+    ``ISOMORPHISM_SIGMA_MIN`` (which also gives full rank at ``RANK_RTOL``)
+    and ``iso`` intertwines within ``DECOMPOSE_INV_TOL``.
+    """
+    for a, m in iso.blocks.items():
+        if m.size == 0:
+            continue
+        s = np.linalg.svd(m, compute_uv=False)
+        if not s[-1] >= ISOMORPHISM_SIGMA_MIN:
+            raise InternalCheckError(
+                f"map of the split-off summand to the quotient at {a!r} is not an "
+                f"isomorphism: smallest singular value {s[-1]:.3e}"
+            )
+    resid = _intertwining_excess(
+        component,
+        quot,
+        iso,
+        DECOMPOSE_INV_TOL,
+        lambda: max(quot._block_norms().values(), default=1.0),
+    )
+    if resid is not None:
+        raise InternalCheckError(
+            f"map of the split-off summand to the quotient fails to intertwine: "
+            f"residual {resid:.3e}"
+        )
+
+
 def _decompose_rec(
     sys: MatrixSystem,
     embed: SystemMap,
@@ -449,8 +532,7 @@ def _decompose_rec(
         component, comp_embed, rest, rest_embed = _split_off_component(
             sys, w, proj, forms_t
         )
-        if find_proper_invariant(component) is not None:
-            raise InternalCheckError("emitted component is reducible")
+        _certify_isomorphic(component, quot, proj.compose(comp_embed))
         out.append((component, embed.compose(comp_embed)))
     else:
         # Transient quotient: all weight lives on the invariant part.
@@ -468,8 +550,8 @@ def decompose(
     input system intertwining the transfer matrices.  Null directions of
     the input forms are stripped first and belong to no component.  Every
     component is certified irreducible once: by the search that finds no
-    proper invariant subsystem in it, or, for a split-off summand, by a
-    search on it as it is emitted.
+    proper invariant subsystem in it, or, for a split-off summand, by its
+    isomorphism with the quotient that such a search has just certified.
     """
     defect = compatibility_defect(sys)
     if defect > tol:
@@ -482,8 +564,9 @@ def decompose(
     _decompose_rec(stripped, base, out)
 
     for comp, emb in out:
-        cd = compatibility_defect(comp)
-        if cd > max(tol, COMPONENT_DEFECT_FLOOR):
+        gap = comp._B - _transfer(comp, comp._B)
+        cd = _excess(gap, max(tol, COMPONENT_DEFECT_FLOOR), lambda: _snorm(gap))
+        if cd is not None:
             raise InternalCheckError(f"component left incompatible: defect {cd:.3e}")
         resid = _intertwining_excess(
             comp,

@@ -18,7 +18,8 @@ letterwise spectra, so these are the extremes over the letters) satisfies
 ``alpha <= rho <= beta``; once it closes to a relative width of
 ``BRACKET_RTOL`` the spectral radius is certified, and ``X`` is an
 eigentuple up to a residual of half the width, relative to ``|X|``.  The
-bracket costs two eigensolves of the whole iterate, against one matrix
+bracket costs two eigensolves per letter, stacked over the letters of equal
+dimension (one ``eigh`` and one ``eigvalsh`` per group), against one matrix
 product for a transfer step, so it is checked every ``_CHECK_STRIDE``
 iterations, and at every iteration once it is within ``CHECK_EVERY_RTOL``.
 When the bracket cannot close — the eigentuple lies on the boundary of the
@@ -47,7 +48,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InputError, NumericError, ValidationError
-from .system import MatrixSystem, _snorm, _transfer, compatibility_defect, is_psd
+from .system import (
+    MatrixSystem,
+    _excess,
+    _snorm,
+    _transfer,
+    compatibility_defect,
+    is_psd,
+)
 from .system import apply_transfer  # noqa: F401 (re-exported by the package)
 from .tolerances import (
     BRACKET_RTOL,
@@ -168,9 +176,10 @@ def _certified(sys: MatrixSystem, rho: float, x: np.ndarray, rtol: float) -> boo
     scale = _snorm(x)
     if scale == 0.0:
         return False
-    return is_psd(x / scale, EIGENTUPLE_PSD_TOL) and (
-        _snorm(_transfer(sys, x) - rho * x) / scale <= rtol
-    )
+    if not is_psd(x / scale, EIGENTUPLE_PSD_TOL):
+        return False
+    resid = _transfer(sys, x) - rho * x
+    return _excess(resid, rtol * scale, lambda: _snorm(resid)) is None
 
 
 def _cone_eigenpair(
@@ -198,27 +207,26 @@ def _cone_eigenpair(
 
     The bracket is checked at the first iteration, so a start that is an
     eigentuple certifies in one step, then at the schedule of the module
-    docstring.  An iterate counts as singular when its smallest eigenvalue
-    is at most ``DEFINITE_RTOL`` of its largest over the whole array, not
-    letterwise: one ``eigh`` resolves each block only to rounding of the
-    largest one.
+    docstring.  The eigensolves run letterwise, stacked over the letters of
+    equal dimension, but an iterate counts as singular when its smallest
+    eigenvalue over all letters is at most ``DEFINITE_RTOL`` of its largest
+    over all letters, as for one eigensolve of the whole array: a letter
+    whose form is faint against the others' still sends the solve to the
+    dense path.
     """
+    groups = _size_groups(sys)
     x = sys._B
-    w = np.linalg.eigvalsh(x)
-    if w[0] <= DEFINITE_RTOL * w[-1]:
+    w = [np.linalg.eigvalsh(_stacked(x, g)) for g in groups]
+    if _singular(w):
         x = np.eye(sys.total_dim, dtype=complex)
     every = False
     for k in range(_CONE_ITERATIONS):
         y = _transfer(sys, x)
         if every or k % _CHECK_STRIDE == 0:
-            w, v = np.linalg.eigh(x)
-            if w[0] <= DEFINITE_RTOL * w[-1]:
+            bracket = _bracket(groups, x, y)
+            if bracket is None:
                 return None
-            # s* y s is unitarily similar to the block-diagonal x^{-1/2} y x^{-1/2},
-            # whose spectrum is the union of the letterwise spectra.
-            s = v / np.sqrt(w)
-            e = np.linalg.eigvalsh(s.conj().T @ y @ s)
-            lo, hi = e[0], e[-1]
+            lo, hi = bracket
             if hi - lo <= BRACKET_RTOL * hi:
                 rho = (lo + hi) / 2
                 if rho <= tol:
@@ -237,6 +245,47 @@ def _cone_eigenpair(
             return None
         x = y / t
     return None
+
+
+def _size_groups(sys: MatrixSystem) -> list[np.ndarray]:
+    """The coordinate ranges of the letters of nonzero dimension, grouped by
+    dimension: one ``(letters, d)`` index array per dimension ``d``."""
+    starts: dict[int, list[int]] = {}
+    for a, s in sys._slices.items():
+        if sys.dims[a]:
+            starts.setdefault(sys.dims[a], []).append(s.start)
+    return [np.array(st)[:, None] + np.arange(d) for d, st in starts.items()]
+
+
+def _stacked(x: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of ``x`` at the coordinate ranges of ``group``,
+    stacked ``(letters, d, d)``."""
+    return x[group[:, :, None], group[:, None, :]]
+
+
+def _bracket(
+    groups: list[np.ndarray], x: np.ndarray, y: np.ndarray
+) -> tuple[float, float] | None:
+    """The Collatz–Wielandt bracket ``(alpha, beta)`` of the iterate ``x``
+    and its image ``y``, from one ``eigh`` and one ``eigvalsh`` per group of
+    letters of equal dimension; ``None`` when ``x`` is singular."""
+    eigs = [np.linalg.eigh(_stacked(x, g)) for g in groups]
+    if _singular([w for w, _ in eigs]):
+        return None
+    lo, hi = np.inf, -np.inf
+    for g, (w, v) in zip(groups, eigs):
+        # s* y s is unitarily similar to x^{-1/2} y x^{-1/2} at each letter
+        s = v / np.sqrt(w)[:, None, :]
+        e = np.linalg.eigvalsh(s.conj().transpose(0, 2, 1) @ _stacked(y, g) @ s)
+        lo, hi = min(lo, float(e[:, 0].min())), max(hi, float(e[:, -1].max()))
+    return lo, hi
+
+
+def _singular(w: list[np.ndarray]) -> bool:
+    """Whether the smallest of the stacked ascending eigenvalues ``w`` is at
+    most ``DEFINITE_RTOL`` of the largest, over all letters at once."""
+    lo = min(float(v[:, 0].min()) for v in w)
+    return lo <= DEFINITE_RTOL * max(float(v[:, -1].max()) for v in w)
 
 
 def _nilpotent_eigentuple(mat: np.ndarray, layout: _HermitianLayout) -> np.ndarray:

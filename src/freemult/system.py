@@ -259,7 +259,8 @@ class MatrixSystem:
         return self._H.shape[0]
 
     def scale_H(self, factor: complex) -> "MatrixSystem":
-        return MatrixSystem._from_blocks(
+        # the forms are this system's own, already checked
+        return MatrixSystem._unchecked(
             self.alphabet, self.dims, factor * self._H, self._B
         )
 

@@ -118,6 +118,17 @@ POSITIVITY_SLACK = 10
 # Relative gap allowed between the two routes to a component's forms,
 # against ``max(1, ||B_a||_2)``.
 ROUTE_RTOL = 1e-6
+# Smallest singular value allowed, at any letter, for the map ``Q* W0``
+# from a split-off summand to the certified irreducible quotient it must be
+# isomorphic to.  Both bases are orthonormal, so the largest singular value
+# is at most one and the smallest is the sine of the smallest angle between
+# the summand and the invariant part it splits from; this bounds the
+# condition number and the norm of the inverse by 1e4.  An intertwining
+# residual ``r`` then moves the summand by at most ``1e4 * r`` from a system
+# similar to the quotient, below 1e-3 at DECOMPOSE_INV_TOL.  It is above
+# RANK_RTOL, so the map also has full rank at RANK_RTOL.  The hidden sums of
+# the tests, under unitary and non-unitary disguises, give at least 0.25.
+ISOMORPHISM_SIGMA_MIN = 1e-4
 # Floor on the compatibility tolerance applied to emitted components.
 COMPONENT_DEFECT_FLOOR = 1e-8
 

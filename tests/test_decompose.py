@@ -461,6 +461,13 @@ def planted_sum(rng, n_parts):
     return pieces, total
 
 
+def hidden_planted_sum(rng, n_parts):
+    """``planted_sum`` hidden behind letterwise unitaries."""
+    pieces, total = planted_sum(rng, n_parts)
+    J = SystemMap(AB, {a: random_unitary(rng, total.dims[a]) for a in AB.letters})
+    return pieces, conjugate(total, J)
+
+
 def test_quotient_solves_start_from_compressed_forms(monkeypatch, rng):
     # Under letterwise unitaries the complement of the invariant part stays
     # B-orthogonal to it, so the compressed forms are the quotient's
@@ -485,38 +492,148 @@ def test_quotient_solves_start_from_compressed_forms(monkeypatch, rng):
     monkeypatch.setattr(perron, "_dense_eigenpair", forbidden)
     monkeypatch.setattr(decompose_module, "pf_eigenpair", counted_solve)
     for n_parts in (2, 3):
-        pieces, total = planted_sum(rng, n_parts)
-        J = SystemMap(AB, {a: random_unitary(rng, total.dims[a]) for a in AB.letters})
+        pieces, hidden = hidden_planted_sum(rng, n_parts)
         per_solve.clear()
-        assert_recovers(conjugate(total, J), pieces)
+        assert_recovers(hidden, pieces)
         assert len(per_solve) == n_parts - 1
         assert max(per_solve) <= 2
 
 
-def test_each_component_is_searched_once(monkeypatch, rng):
-    # A component left unsplit was certified by the search that found
-    # nothing in it, and a split-off one is searched as it is emitted; no
-    # component is searched again.
-    searched = []
+def test_each_component_is_certified_once(monkeypatch, rng):
+    # A component left unsplit is certified by the search that finds nothing
+    # in it; a split-off one by its isomorphism with the quotient that a
+    # search has just certified, and it is never searched itself.
+    searched, isos = [], []
     search = decompose_module.find_proper_invariant
+    certify = decompose_module._certify_isomorphic
 
     def counted(sys0):
+        found = search(sys0)
+        searched.append((sys0, found))
+        return found
+
+    def recorded(comp, quot, iso):
+        isos.append((comp, quot))
+        return certify(comp, quot, iso)
+
+    monkeypatch.setattr(decompose_module, "find_proper_invariant", counted)
+    monkeypatch.setattr(decompose_module, "_certify_isomorphic", recorded)
+    for n_parts in (2, 3):
+        _, hidden = hidden_planted_sum(rng, n_parts)
+        searched.clear()
+        isos.clear()
+        parts = decompose(hidden)
+        assert len(parts) == n_parts
+        certified = [s for s, found in searched if found is None]
+        for comp, _ in parts:
+            quots = [q for c, q in isos if c is comp]
+            if quots:
+                assert len(quots) == 1
+                assert not any(s is comp for s, _ in searched)
+                assert sum(s is quots[0] for s in certified) == 1
+            else:
+                assert sum(s is comp for s in certified) == 1
+        assert len(isos) == n_parts - 1
+        if n_parts == 2:
+            # the input, its irreducible quotient and the remainder
+            assert len(searched) == 3
+
+
+def test_hidden_sum_takes_one_closure_per_search(monkeypatch):
+    # Each search of a hidden 2-piece sum takes one closure, of the path maps
+    # from its smallest letter; the two certified searches (the quotient and
+    # the remainder) add a dual closure each, and the search of the input one
+    # Norton closure: 6 closures.  No closure of a searched system is seeded
+    # with the whole of its smallest space; only the dual ones are.
+    _, hidden = hidden_planted_sum(np.random.default_rng(0), 2)
+    closures, seeded, searched = [], [], []
+    closure = decompose_module._closure
+    seeded_closure = decompose_module.closure_subsystem
+    search = decompose_module.find_proper_invariant
+
+    def counted(*args):
+        closures.append(1)
+        return closure(*args)
+
+    def recorded(sys0, seeds):
+        seeded.append((sys0, seeds))
+        return seeded_closure(sys0, seeds)
+
+    def counted_search(sys0):
         searched.append(sys0)
         return search(sys0)
 
-    monkeypatch.setattr(decompose_module, "find_proper_invariant", counted)
-    for n_parts in (2, 3):
-        pieces, total = planted_sum(rng, n_parts)
-        J = SystemMap(AB, {a: random_unitary(rng, total.dims[a]) for a in AB.letters})
-        searched.clear()
-        parts = decompose(conjugate(total, J))
-        assert len(parts) == n_parts
-        for comp, _ in parts:
-            assert sum(s is comp for s in searched) == 1
-        if n_parts == 2:
-            # the input, its irreducible quotient, the split-off summand and
-            # the remainder
-            assert len(searched) == 4
+    monkeypatch.setattr(decompose_module, "_closure", counted)
+    monkeypatch.setattr(decompose_module, "closure_subsystem", recorded)
+    monkeypatch.setattr(decompose_module, "find_proper_invariant", counted_search)
+    parts = decompose(hidden)
+    assert len(parts) == 2 and len(searched) == 3
+    assert len(closures) == 6
+    assert len(seeded) == 3
+    for sys0, seeds in seeded:
+        if any(sys0 is s for s in searched):
+            for a, v in seeds.items():
+                assert orthonormal_columns(np.asarray(v)).shape[1] < sys0.dims[a]
+
+
+def split_with(monkeypatch, change):
+    """Run the split of ``decompose`` with ``change`` applied to the output
+    of every ``_split_off_component``."""
+    split = decompose_module._split_off_component
+
+    def changed(sys0, w, proj, forms_t):
+        return change(sys0, w, *split(sys0, w, proj, forms_t))
+
+    monkeypatch.setattr(decompose_module, "_split_off_component", changed)
+
+
+def test_skewed_summand_trips_the_isomorphism_rank_check(monkeypatch, rng):
+    # Tilt the summand's basis at one letter to within 1e-6 of the invariant
+    # part it splits from: its map to the quotient loses rank.
+    def skew(sys0, w, comp, comp_embed, rest, rest_embed):
+        blocks = dict(comp_embed.blocks)
+        a = next(c for c in AB.letters if blocks[c].shape[1] and w.basis[c].shape[1])
+        tilted = blocks[a].copy()
+        tilted[:, 0] = 1e-6 * tilted[:, 0] + w.basis[a][:, 0]
+        blocks[a] = orthonormal_columns(tilted)
+        return comp, SystemMap(AB, blocks), rest, rest_embed
+
+    assert tolerances.ISOMORPHISM_SIGMA_MIN > tolerances.RANK_RTOL
+    split_with(monkeypatch, skew)
+    _, hidden = hidden_planted_sum(rng, 2)
+    with pytest.raises(InternalCheckError, match="not an isomorphism"):
+        decompose(hidden)
+
+
+def test_perturbed_component_trips_the_isomorphism_intertwining_check(
+    monkeypatch, rng
+):
+    # Perturb the split-off component's transfers by 1e-5: its map to the
+    # quotient keeps full rank but no longer intertwines.
+    def perturb(sys0, w, comp, comp_embed, rest, rest_embed):
+        noise = rng.standard_normal(comp._H.shape) * (comp._H != 0)
+        moved = MatrixSystem._unchecked(AB, comp.dims, comp._H + 1e-5 * noise, comp._B)
+        return moved, comp_embed, rest, rest_embed
+
+    split_with(monkeypatch, perturb)
+    _, hidden = hidden_planted_sum(rng, 2)
+    with pytest.raises(InternalCheckError, match="fails to intertwine: residual"):
+        decompose(hidden)
+
+
+def test_closure_failing_the_invariance_test_is_no_certificate(monkeypatch):
+    # The smallest letter carries only the first summand, so the closure of
+    # its space and its dual closure are that summand, and the loop algebra
+    # there is all of End(C).  When the invariance test rejects both closures,
+    # the search must not certify the sum irreducible.
+    dims = {"a": 0, "A": 2, "b": 1, "B": 2}
+    other = gaussian_system(np.random.default_rng(3), dims)
+    total = direct_sum(make_spherical(0.0), other)
+    found = find_proper_invariant(total)
+    assert found is not None and found.dims() == {a: 1 for a in AB.letters}
+    monkeypatch.setattr(decompose_module, "_invariance_excess", lambda *args: 1.0)
+    with pytest.raises(InternalCheckError, match="not certified"):
+        find_proper_invariant(total)
 
 
 def test_decompose_takes_no_svd_a_bound_decides(monkeypatch, rng):
@@ -524,9 +641,7 @@ def test_decompose_takes_no_svd_a_bound_decides(monkeypatch, rng):
     # passes on the Frobenius norm of its residual, so none takes a 2-norm,
     # and no full dual closure is annihilated (before, each took four
     # null_space SVDs to reach the zero subsystem).
-    pieces, total = planted_sum(rng, 2)
-    J = SystemMap(AB, {a: random_unitary(rng, total.dims[a]) for a in AB.letters})
-    hidden = conjugate(total, J)
+    pieces, hidden = hidden_planted_sum(rng, 2)
     measures = {
         "invariance_defect",
         "_worst_invariance",

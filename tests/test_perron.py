@@ -431,16 +431,16 @@ def test_block_cone_certifies_where_per_letter_reference_stalls():
 
 def reference_every_step_cone_eigenpair(sys, tol=1e-9):
     """The block-diagonal cone iteration that checks the bracket at every
-    iteration, from the identity."""
+    iteration, from the identity.  It computes the bracket as
+    ``_cone_eigenpair`` does, so the two differ only in their schedule."""
+    groups = perron._size_groups(sys)
     x = np.eye(sys.total_dim, dtype=complex)
     for _ in range(perron._CONE_ITERATIONS):
         y = _transfer(sys, x)
-        w, v = np.linalg.eigh(x)
-        if w[0] <= tolerances.DEFINITE_RTOL * w[-1]:
+        bracket = perron._bracket(groups, x, y)
+        if bracket is None:
             return None
-        s = v / np.sqrt(w)
-        e = np.linalg.eigvalsh(s.conj().T @ y @ s)
-        lo, hi = e[0], e[-1]
+        lo, hi = bracket
         if hi - lo <= tolerances.BRACKET_RTOL * hi:
             rho = (lo + hi) / 2
             if rho <= tol:
