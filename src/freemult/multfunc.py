@@ -28,15 +28,17 @@ arrays to a private constructor that validates each array once.
 ``values`` is a read-only ``Word``-keyed view of the same data, decoded on
 first use (its length needs no decoding); no operation here reads it.
 
-Propagation is batched: one depth step costs one matrix product per
-admissible letter pair, and a child's code is its parent's times ``2r``
-plus the new digit.  A function carried to another system (by a change of
-generators, a restriction or an induction) is multiplicative over that
-system, so ``sample_then_refine`` samples it on the smallest sphere the
-input determines and propagates from there.  Evaluation past the depth,
-by ``evaluate``, ``norm_via_subtree`` and those samplers, carries each
-prefix once per call: a stored prefix is found by binary search and the
-value at every longer prefix is kept for the rest of the call.
+Propagation is batched: one depth step costs one matrix product per last
+letter, with its column block of the system's block matrix; a child's code
+is its parent's times ``2r`` plus the new digit, and zero rows ride along
+until the layer is stored.  A function carried to another system (by a
+change of generators, a restriction or an induction) is multiplicative
+over that system, so ``sample_then_refine`` samples it on the smallest
+sphere the input determines and propagates from there.  Evaluation past
+the depth, by ``evaluate``, ``norm_via_subtree`` and those samplers,
+carries each prefix once per call: a stored prefix is found by binary
+search and the value at every longer prefix is kept for the rest of the
+call.
 """
 
 from __future__ import annotations
@@ -183,8 +185,8 @@ class MultiplicativeFunction:
         return out
 
     def _store(self, system: MatrixSystem, depth: int, layer: dict) -> None:
-        """Check each array pair once, drop zero rows, sort by code and
-        store read-only."""
+        """Check each array pair once, drop zero rows (propagation keeps
+        them), sort by code and store read-only."""
         al = system.alphabet
         q, top = al.size, al.size**depth
         groups = {}
@@ -258,30 +260,23 @@ def _step(sysm: MatrixSystem, layer: dict, allowed=None) -> dict:
     """Push a layer one letter outward: each word (code ``p``, last digit
     ``t``) gains every admissible next digit ``c`` (only those in
     ``allowed`` when given) as the word of code ``p * 2r + c``, its rows
-    times ``H(c, t).T``.  Rows that come out zero are dropped."""
+    times ``H(c, t).T``: the columns of ``c`` in one product per ``t``
+    with the column block of ``t``.  Zero rows are kept (their
+    descendants are zero too) for ``_store`` to drop."""
     al = sysm.alphabet
-    letters, order, fi = al.letters, al._order, al._file_ints
+    letters, sl = al.letters, sysm._slices
     q = len(letters)
     nxt = range(q) if allowed is None else allowed
     stored = sysm.stored_pairs()
     grown: dict[int, list] = {}
     for t, (codes, V) in layer.items():
+        a = letters[t]
         head = codes * q
-        back = order[-fi[t]]
+        W = V @ sysm._H[:, sl[a]].T
         for c in nxt:
-            if c == back:
-                continue
-            if (letters[c], letters[t]) not in stored:
-                continue
-            m = sysm.H(letters[c], letters[t])
-            W = V @ m.T
-            keep = W.any(axis=1)
-            if keep.all():
-                k = head + c
-            else:
-                k, W = head[keep] + c, W[keep]
-            if len(k):
-                grown.setdefault(c, []).append((k, W))
+            b = letters[c]
+            if (b, a) in stored:
+                grown.setdefault(c, []).append((head + c, W[:, sl[b]]))
     return _join(grown)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence
 
+from . import _kernel_py as _k
 from .errors import InputError, InternalCheckError, ValidationError
 from .words import Alphabet, FiniteSubtree, Word, cone_contains, drop_last, last_letter
 
@@ -349,19 +350,19 @@ def decompose_left(fs: FundamentalSubtree, x: Word) -> tuple[Word, Word, Word]:
     al = aut.alphabet
     if x.alphabet != al:
         raise InputError("word over a different alphabet")
-    u = fs.reps[aut.run(0, x)]
-    gamma = x * u.inverse()
+    delta, letter, reps = aut._delta, al._from_int, fs.reps
+    u = reps[aut.run(0, x)]
+    gamma = _k.multiply(x.data, _k.invert(u.data))
 
     syms: list[str] = []
-    r = al.identity
+    r = ()
     state = 0
-    for i in gamma.data:
-        c = al._from_int[i]
-        nxt = aut.step(state, c)
-        cand = r * al.word([c])
-        target = fs.reps[nxt]
+    for i in gamma:
+        nxt = delta[letter[i]][state]
+        cand = _k.multiply(r, (i,))
+        target = reps[nxt].data
         if cand != target:
-            g1 = cand * target.inverse()
+            g1 = Word(al, _k.multiply(cand, _k.invert(target)))
             sym = fs.symbol_of.get(g1)
             if sym is None:
                 raise InternalCheckError(
@@ -370,9 +371,11 @@ def decompose_left(fs: FundamentalSubtree, x: Word) -> tuple[Word, Word, Word]:
             syms.append(sym)
         r = target
         state = nxt
-    if len(r) != 0 or state != 0:
+    if r or state != 0:
         raise InternalCheckError("subgroup element did not return to the base")
-    spelling = fs.subgroup_alphabet.word(syms)
-    if fs.expand(spelling) != gamma:
+    back = ()
+    for sym in syms:
+        back = _k.multiply(back, fs.gamma_of[sym].data)
+    if back != gamma:
         raise InternalCheckError("spelling does not evaluate back to the element")
-    return spelling, gamma, u
+    return fs.subgroup_alphabet.word(syms), Word(al, gamma), u

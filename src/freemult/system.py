@@ -388,7 +388,8 @@ def _assembled(
                         f"not {c_r!r}"
                     )
                 H[o_r : o_r + source.dims[c_r], o_k : o_k + d_k] = block
-    out = MatrixSystem._from_blocks(alphabet, dims, H, B)
+    # the forms are copies of the source's own, already checked
+    out = MatrixSystem._unchecked(alphabet, dims, H, B)
     _check_compatibility_kept(source, out, tol, what)
     return out
 

@@ -7,6 +7,11 @@ only through their ``values`` view and building results through the
 public constructor.  Values must agree to ``1e-12`` relative and supports
 exactly, on random systems with zero-dimensional letters and on full and
 sparse supports.  Word codes must round-trip and sort in shortlex order.
+
+Propagation keeps zero rows and only storing drops them, while the
+reference drops them after every step.  The kernel cases pin that move:
+small-integer rank-deficient transfers, values in their kernels and a
+nilpotent pair make exact zero children on both routes.
 """
 
 from __future__ import annotations
@@ -138,6 +143,88 @@ def system_with_empty_letters(rng, al):
     return MatrixSystem(al, dims, H, B)
 
 
+def reference_act(x, f):
+    """``act`` through the reference steps: every word ``w`` of length
+    ``N`` to ``N + 2|x|`` with a nonzero value, read at ``z = x w`` where
+    ``|z| = N + |x|``."""
+    al, n_out = f.alphabet, f.depth + len(x)
+    layer = _reference_layer(f.values)
+    out = {}
+    for k in range(2 * len(x) + 1):
+        if k:
+            layer = _reference_step(f.system, layer)
+        for keys, V in layer.values():
+            for key, v in zip(keys, V):
+                z = x * Word(al, key)
+                if len(z) == n_out:
+                    out[z] = v
+    return MultiplicativeFunction(f.system, n_out, out)
+
+
+def _integers(rng, *shape):
+    return rng.integers(-2, 3, shape) + 1j * rng.integers(-2, 3, shape)
+
+
+def _kernel_vector(rng, rows, n):
+    """An integer vector ``k``, possibly zero, with ``row @ k = 0`` for
+    each given row (fewer than ``n <= 3`` of them): the bilinear cross
+    product of ``n - 1`` rows, padded with random ones."""
+    rows = list(rows) + [_integers(rng, n) for _ in range(n - 1 - len(rows))]
+    if n == 1:
+        return _integers(rng, 1)
+    if n == 2:
+        return np.array([rows[0][1], -rows[0][0]])
+    return np.cross(rows[0], rows[1])
+
+
+def kernel_system(rng, al):
+    """Small-integer transfers of rank below their size (each ``U @ V``),
+    identity forms, letters of dimension 0-3, and a nilpotent pair
+    ``H(c, b) H(b, a) = 0`` through a two-dimensional ``b``.  Returns the
+    system and each block's right factor ``V``, whose kernel the block
+    annihilates."""
+    letters = al.letters
+    a = letters[int(rng.integers(len(letters)))]
+    b = rng.choice([s for s in letters if s not in (a, al.inverse(a))])
+    c = rng.choice([s for s in letters if s not in (b, al.inverse(b))])
+    dims = {s: int(rng.integers(0, 4)) for s in letters}
+    dims[a], dims[b], dims[c] = max(dims[a], 1), 2, max(dims[c], 1)
+    H, right = {}, {}
+    for t, s in _pairs(al):
+        m, n = dims[t], dims[s]
+        r = int(rng.integers(0, max(min(m, n), 1)))
+        right[(t, s)] = _integers(rng, r, n)
+        H[(t, s)] = _integers(rng, m, r) @ right[(t, s)]
+    right[(b, a)] = _integers(rng, 1, dims[a])
+    H[(b, a)] = np.array([[1], [1]]) @ right[(b, a)]
+    right[(c, b)] = np.array([[1, -1]])
+    H[(c, b)] = _integers(rng, dims[c], 1) @ right[(c, b)]
+    sys = MatrixSystem(al, dims, H, {s: np.eye(dims[s]) for s in letters})
+    return sys, right
+
+
+def kernel_function(rng, sys, right, depth, sparse):
+    """Integer values; at about half the words, a vector in the kernel of
+    the block to a random next letter, and at some words zero."""
+    al = sys.alphabet
+    values = {}
+    for w in sphere(al, depth):
+        if sparse and rng.random() < 0.5:
+            continue
+        t = last_letter(w)
+        n = sys.dims[t]
+        kind = rng.random()
+        if kind < 0.1:
+            values[w] = np.zeros(n)
+        elif kind < 0.6 and n:
+            nxt = [s for s in al.letters if s != al.inverse(t)]
+            V = right[(nxt[int(rng.integers(len(nxt)))], t)]
+            values[w] = _kernel_vector(rng, V, n)
+        else:
+            values[w] = _integers(rng, n)
+    return MultiplicativeFunction(sys, depth, values)
+
+
 def random_function(rng, sys, depth, sparse):
     words = sphere(sys.alphabet, depth)
     if sparse:
@@ -215,6 +302,50 @@ def test_array_path_matches_dict_reference(case):
                 assert reference_functions_close(x, y, tol) is want
                 assert functions_close(x, y, tol) is want
                 assert functions_close(y, x, tol) is want
+
+
+# deepest sphere each kernel case walks, about 3,000 words or fewer
+KERNEL_DEPTH = {AB: 7, ABC: 5, SUB4: 4}
+
+
+@pytest.mark.parametrize("al", [AB, ABC, SUB4], ids=["AB", "ABC", "SUB4"])
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.integers(0, 3),
+    st.integers(0, 2),
+    st.booleans(),
+)
+@settings(max_examples=25, deadline=None)
+def test_kernel_cases_match_reference_steps(al, seed, depth, extra, length, sparse):
+    """Exact zero children: ``refine`` and ``act`` against the reference,
+    which drops zero rows after every step."""
+    rng = np.random.default_rng(seed)
+    cap = KERNEL_DEPTH[al]
+    depth = min(depth, cap)
+    extra = min(extra, cap - depth)
+    length = min(length, (cap - depth) // 2)
+    sys0, right = kernel_system(rng, al)
+    f = kernel_function(rng, sys0, right, depth, sparse)
+    assert_same(refine(f, depth + extra), reference_refine(f, depth + extra))
+    words = sphere(al, length)
+    x = words[int(rng.integers(len(words)))]
+    assert_same(act(x, f), reference_act(x, f))
+
+
+def test_nilpotent_pair_leaves_no_zero_rows():
+    """``H(a, b) H(b, a) = 0``: refining the shadow at ``a`` to depth
+    three loses ``aba`` and stores no zero row."""
+    dims = {"a": 1, "A": 1, "b": 2, "B": 1}
+    H = {(t, s): np.ones((dims[t], dims[s])) for t, s in _pairs(AB)}
+    H[("a", "b")] = np.array([[1.0, -1.0]])
+    sys0 = MatrixSystem(AB, dims, H, {s: np.eye(dims[s]) for s in AB.letters})
+    f = refine(shadow(sys0, AB.word("a"), [1.0]), 3)
+    assert AB.word("aba") not in f.values
+    assert len(f.values) == 9 - 1
+    for _, V in f._groups.values():
+        assert V.any(axis=1).all()
+    assert_same(f, reference_refine(shadow(sys0, AB.word("a"), [1.0]), 3))
 
 
 @given(st.sampled_from([AB, SUB4]), st.integers(1, 6), st.data())

@@ -9,6 +9,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freemult import (
     CosetAutomaton,
@@ -20,7 +22,8 @@ from freemult import (
     decompose_left,
     schreier_subtree,
 )
-from freemult.words import ball, last_letter
+from freemult.errors import InternalCheckError
+from freemult.words import Word, ball, last_letter
 
 from .conftest import AB
 
@@ -159,6 +162,65 @@ def test_decompose_left_roundtrip(index2_automaton, rng):
         assert fs.in_domain(u)
         assert gamma * u == v
         assert fs.expand(spelling) == gamma
+
+
+def _word_level_decompose_left(fs, x):
+    """``decompose_left`` as a walk over ``Word`` products, one ``Word``
+    per letter: the oracle for the tuple walk."""
+    aut = fs.automaton
+    al = aut.alphabet
+    u = fs.reps[aut.run(0, x)]
+    gamma = x * u.inverse()
+    syms = []
+    r = al.identity
+    state = 0
+    for i in gamma.data:
+        c = al._from_int[i]
+        nxt = aut.step(state, c)
+        cand = r * al.word([c])
+        target = fs.reps[nxt]
+        if cand != target:
+            sym = fs.symbol_of.get(cand * target.inverse())
+            if sym is None:
+                raise InternalCheckError("unknown generator")
+            syms.append(sym)
+        r = target
+        state = nxt
+    if len(r) != 0 or state != 0:
+        raise InternalCheckError("did not return to the base")
+    spelling = fs.subgroup_alphabet.word(syms)
+    if fs.expand(spelling) != gamma:
+        raise InternalCheckError("spelling does not evaluate back")
+    return spelling, gamma, u
+
+
+@st.composite
+def automata_and_words(draw):
+    """A connected coset automaton over ``aAbB`` of index 1-5 with letter
+    permutations drawn at random, and a reduced word of length 0-9."""
+    n = draw(st.integers(1, 5))
+    perm = st.permutations(range(n))
+    try:
+        aut = CosetAutomaton(AB, {"a": draw(perm), "b": draw(perm)})
+    except ValidationError:
+        assume(False)
+    data = []
+    for k in draw(st.lists(st.integers(0, 2), max_size=9)):
+        allowed = [i for i in AB._file_ints if not data or i != -data[-1]]
+        data.append(allowed[k])
+    return aut, Word(AB, tuple(data))
+
+
+@given(automata_and_words())
+@settings(max_examples=150, deadline=None)
+def test_decompose_left_matches_word_level_walk(case):
+    aut, x = case
+    fs = FundamentalSubtree(aut)
+    got = decompose_left(fs, x)
+    want = _word_level_decompose_left(fs, x)
+    assert got == want
+    assert all(isinstance(w, Word) for w in got)
+    assert got[0].alphabet == fs.subgroup_alphabet
 
 
 def test_translates_cover_ball_disjointly(index2_automaton, index3_automaton):

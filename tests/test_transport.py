@@ -486,6 +486,38 @@ def test_restrict_and_induce_match_reference_assembly(fs2, fs3, rng):
             assert_same_blocks(induce_system(fs, sub), reference_induce_system(fs, sub))
 
 
+def test_assembly_copies_source_forms_without_checks(fs2, fs3, rng, monkeypatch):
+    """Assembled forms are copies of the source's checked forms: no form
+    check runs, and each output form array is the block diagonal of the
+    source forms bit for bit."""
+    import freemult.system as system_mod
+
+    amb = random_compatible(rng, max_dim=2)
+    sub = random_compatible(rng, fs2.subgroup_alphabet, max_dim=2)
+    gm = GeneratorMap(AB, AB, CHANGEGEN_MAPS[0])
+    calls = []
+    checked_form = system_mod._checked_form
+
+    def counting(m, a):
+        calls.append(a)
+        return checked_form(m, a)
+
+    monkeypatch.setattr(system_mod, "_checked_form", counting)
+    restricted = restrict_system(fs3, amb)
+    induced = induce_system(fs2, sub)
+    moved = transport_system(gm, amb)
+    assert calls == []
+
+    sub3 = fs3.subgroup_alphabet.letters
+    want = _blockdiag([amb.B(fs3.contact_letter[c]) for c in sub3])
+    assert np.array_equal(restricted._B, want)
+    want = _blockdiag([sub.B(c) for a in AB.letters for _, c in coset_pairs(fs2, a)])
+    assert np.array_equal(induced._B, want)
+    fronts = [compute_Y(gm, AB.word([a])).members for a in AB.letters]
+    want = _blockdiag([amb.B(last_letter(y)) for ys in fronts for y in ys])
+    assert np.array_equal(moved._B, want)
+
+
 def test_assembly_rejects_inconsistent_steps(rng):
     src = random_compatible(rng, max_dim=2)
     members = {t: [(t, t)] for t in AB.letters}
