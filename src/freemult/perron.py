@@ -22,6 +22,13 @@ bracket costs two eigensolves per letter, stacked over the letters of equal
 dimension (one ``eigh`` and one ``eigvalsh`` per group), against one matrix
 product for a transfer step, so it is checked every ``_CHECK_STRIDE``
 iterations, and at every iteration once it is within ``CHECK_EVERY_RTOL``.
+Rounding an iterate with condition number ``kappa`` moves it by about
+``kappa * eps`` in Hilbert's projective metric, so the bracket of an iterate
+with ``kappa * eps`` above ``BRACKET_RTOL`` stalls at that rounding floor.
+Such an iterate, once its bracket is within ``REBASE_RTOL``, is made the
+identity by a change of basis at each letter: with ``X_a = V W V*``,
+the iteration goes on from the identity on ``W^{1/2} V* H V W^{-1/2}``,
+whose eigentuple is close to the identity, and maps its result back.
 When the bracket cannot close — the eigentuple lies on the boundary of the
 cone (the smallest eigenvalue of an iterate falls to ``DEFINITE_RTOL`` of
 its largest), the operator is nilpotent, the peripheral spectrum holds more
@@ -66,6 +73,7 @@ from .tolerances import (
     NORMALIZED_DEFECT_FLOOR,
     NORMALIZED_DEFECT_SLACK,
     PF_TOL,
+    REBASE_RTOL,
     RESIDUAL_FLOOR,
     TRACE_FLOOR,
     VANISH_RTOL,
@@ -78,6 +86,7 @@ FormTuple = dict[str, np.ndarray]
 _CHECK_STRIDE = 8
 # Cone iterations allowed before the dense eigensolver takes over.
 _CONE_ITERATIONS = 1000
+_EPS = float(np.finfo(float).eps)
 
 
 def _hermitian_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -207,8 +216,12 @@ def _cone_eigenpair(
 
     The bracket is checked at the first iteration, so a start that is an
     eigentuple certifies in one step, then at the schedule of the module
-    docstring.  The eigensolves run letterwise, stacked over the letters of
-    equal dimension, but an iterate counts as singular when its smallest
+    docstring.  When the bracket first comes within ``REBASE_RTOL`` at an
+    iterate whose rounding floor is above ``BRACKET_RTOL``, the iteration
+    goes on from the identity on the system rebased at that iterate
+    (:func:`_rebased`), and a certified iterate is mapped back.  The
+    eigensolves run letterwise, stacked over the letters of equal
+    dimension, but an iterate counts as singular when its smallest
     eigenvalue over all letters is at most ``DEFINITE_RTOL`` of its largest
     over all letters, as for one eigensolve of the whole array: a letter
     whose form is faint against the others' still sends the solve to the
@@ -219,9 +232,12 @@ def _cone_eigenpair(
     w = [np.linalg.eigvalsh(_stacked(x, g)) for g in groups]
     if _singular(w):
         x = np.eye(sys.total_dim, dtype=complex)
-    every = False
+    every = near = False
+    # The system the loop iterates, and the factor r that maps its forms
+    # back to those of sys (X = r* X' r) once it is rebased.
+    base, back = sys, None
     for k in range(_CONE_ITERATIONS):
-        y = _transfer(sys, x)
+        y = _transfer(base, x)
         if every or k % _CHECK_STRIDE == 0:
             bracket = _bracket(groups, x, y)
             if bracket is None:
@@ -232,12 +248,21 @@ def _cone_eigenpair(
                 if rho <= tol:
                     # The dense path reports such radii as zero.
                     return None
+                if back is not None:
+                    x = back.conj().T @ x @ back
                 forms = _unit_trace(x)
                 if _certified(
                     sys, rho, forms, max(tol, RESIDUAL_FLOOR) * max(1.0, rho)
                 ):
                     return float(rho), forms
                 return None
+            if hi - lo <= REBASE_RTOL * hi and not near:
+                near = True
+                rebased = _rebased(sys, groups, x)
+                if rebased is not None:
+                    base, back = rebased
+                    x = np.eye(sys.total_dim, dtype=complex)
+                    continue
             if hi - lo <= CHECK_EVERY_RTOL * hi:
                 every = True
         t = float(np.trace(y).real)
@@ -284,8 +309,44 @@ def _bracket(
 def _singular(w: list[np.ndarray]) -> bool:
     """Whether the smallest of the stacked ascending eigenvalues ``w`` is at
     most ``DEFINITE_RTOL`` of the largest, over all letters at once."""
+    lo, hi = _extremes(w)
+    return lo <= DEFINITE_RTOL * hi
+
+
+def _extremes(w: list[np.ndarray]) -> tuple[float, float]:
+    """The smallest and the largest of the stacked ascending eigenvalues
+    ``w``, over all letters at once."""
     lo = min(float(v[:, 0].min()) for v in w)
-    return lo <= DEFINITE_RTOL * max(float(v[:, -1].max()) for v in w)
+    return lo, max(float(v[:, -1].max()) for v in w)
+
+
+def _rebased(
+    sys: MatrixSystem, groups: list[np.ndarray], x: np.ndarray
+) -> tuple[MatrixSystem, np.ndarray] | None:
+    """The system in the basis that makes the definite iterate ``x`` the
+    identity, and the block-diagonal ``r`` with ``x = r* r`` that maps its
+    forms back (``X = r* X' r``); ``None`` when the rounding floor
+    ``kappa * eps`` of ``x`` (``kappa`` its largest eigenvalue over its
+    smallest, over all letters) is at most ``BRACKET_RTOL``.
+
+    With ``x_a = V W V*`` at each letter, ``r = W^{1/2} V*`` and the new
+    transfer matrices are ``r_b H(b,a) r_a^{-1}``, built from the unitary
+    ``V`` and the diagonal ``W^{1/2}`` alone, so they carry the rounding of
+    a unitary change of basis and no ``kappa``.  The transfer operator of
+    the new system is conjugate to that of ``sys``: the same spectrum, and
+    eigentuples ``X' = r^{-*} X r^{-1}``."""
+    eigs = [np.linalg.eigh(_stacked(x, g)) for g in groups]
+    lo, hi = _extremes([w for w, _ in eigs])
+    if hi <= BRACKET_RTOL / _EPS * lo:
+        return None
+    r, s = np.zeros_like(x), np.zeros_like(x)
+    for g, (w, v) in zip(groups, eigs):
+        root = np.sqrt(w)
+        block = g[:, :, None], g[:, None, :]
+        r[block] = root[:, :, None] * v.conj().transpose(0, 2, 1)
+        s[block] = v / root[:, None, :]
+    ident = np.eye(sys.total_dim, dtype=complex)
+    return MatrixSystem._unchecked(sys.alphabet, sys.dims, r @ sys._H @ s, ident), r
 
 
 def _nilpotent_eigentuple(mat: np.ndarray, layout: _HermitianLayout) -> np.ndarray:

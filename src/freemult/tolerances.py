@@ -64,6 +64,14 @@ BRACKET_RTOL = 1e-12
 # every iteration instead of at its stride: near BRACKET_RTOL the width sits
 # at its rounding floor and may fall below it at one iteration only.
 CHECK_EVERY_RTOL = 1e-9
+# Relative bracket width at which the cone iteration rebases an iterate whose
+# rounding floor (condition number times eps) is above BRACKET_RTOL.  The
+# Hilbert distance from the iterate to the eigentuple is then about this
+# width over the spectral gap, so the rebased eigentuple is close to the
+# identity; and it is above the floor of every iterate that DEFINITE_RTOL
+# passes (1e12 * eps, about 2.2e-4), so rounding cannot keep the width from
+# reaching it.
+REBASE_RTOL = 1e-3
 # An iterate form whose smallest eigenvalue is at most this share of its
 # largest counts as singular: the eigentuple is on the boundary of the cone
 # and the bracket cannot close.

@@ -313,20 +313,44 @@ def test_fallback_on_bipartite_system(monkeypatch):
 # ------------------------------------ block-diagonal cone iteration against letters
 
 
-def reference_cone_eigenpair(sys, tol=1e-9):
+def reference_rebased(sys, x):
+    """``sys`` in the basis that makes the definite form tuple ``x`` the
+    identity, built pair by pair: ``r_b H(b,a) r_a^{-1}`` with
+    ``r_a = W^{1/2} V*`` for ``x_a = V W V*``; also the factors ``r``."""
+    r, s = {}, {}
+    for a in sys.alphabet.letters:
+        w, v = np.linalg.eigh(x[a])
+        root = np.sqrt(w)
+        r[a], s[a] = root[:, None] * v.conj().T, v / root
+    H = {(b, a): r[b] @ sys.H(b, a) @ s[a] for b, a in sys.stored_pairs()}
+    eye = {a: np.eye(sys.dims[a]) for a in sys.alphabet.letters}
+    return MatrixSystem(sys.alphabet, sys.dims, H, eye), r
+
+
+def reference_cone_eigenpair(sys, tol=1e-9, rebase=True):
     """The per-letter cone iteration that the block-diagonal one replaced:
     an ``eigh`` and an ``eigvalsh`` per letter and iteration, a letterwise
     singular test and per-letter certificate checks.  ``None`` where it
-    hands over to the dense solver."""
+    hands over to the dense solver.
+
+    When the bracket first comes within ``REBASE_RTOL``, at an iterate
+    whose condition number (largest eigenvalue over smallest, over all
+    letters) times ``eps`` exceeds ``BRACKET_RTOL``, it goes on from the
+    identity on the system rebased at that iterate (``reference_rebased``)
+    and maps a certified iterate back; with ``rebase=False`` it never does,
+    as the per-letter loop did."""
     letters = [a for a in sys.alphabet.letters if sys.dims[a] > 0]
     x = {a: np.eye(sys.dims[a], dtype=complex) for a in sys.alphabet.letters}
+    base, back, near = sys, None, False
     for _ in range(perron._CONE_ITERATIONS):
-        y = ref_apply_transfer(sys, x)
+        y = ref_apply_transfer(base, x)
         lo, hi = np.inf, 0.0
+        wmin, wmax = np.inf, 0.0
         for a in letters:
             w, v = np.linalg.eigh(x[a])
             if w[0] <= tolerances.DEFINITE_RTOL * w[-1]:
                 return None
+            wmin, wmax = min(wmin, w[0]), max(wmax, w[-1])
             s = v / np.sqrt(w)
             e = np.linalg.eigvalsh(s.conj().T @ y[a] @ s)
             lo, hi = min(lo, e[0]), max(hi, e[-1])
@@ -334,6 +358,8 @@ def reference_cone_eigenpair(sys, tol=1e-9):
             rho = (lo + hi) / 2
             if rho <= tol:
                 return None
+            if back is not None:
+                x = {a: back[a].conj().T @ m @ back[a] for a, m in x.items()}
             forms = {a: (m + m.conj().T) / 2 for a, m in x.items()}
             t = sum(np.trace(m).real for m in forms.values())
             forms = {a: m / t for a, m in forms.items()}
@@ -346,6 +372,12 @@ def reference_cone_eigenpair(sys, tol=1e-9):
             ):
                 return float(rho), forms
             return None
+        if not near and hi - lo <= tolerances.REBASE_RTOL * hi:
+            near = True
+            if rebase and wmax / wmin * np.finfo(float).eps > tolerances.BRACKET_RTOL:
+                base, back = reference_rebased(sys, x)
+                x = {a: np.eye(d, dtype=complex) for a, d in sys.dims.items()}
+                continue
         t = sum(np.trace(m).real for m in y.values())
         if not t > 0:
             return None
@@ -410,13 +442,14 @@ def test_singular_test_is_global(monkeypatch):
 
 
 def test_block_cone_certifies_where_per_letter_reference_stalls():
-    """The per-letter reference's bracket stalls above ``BRACKET_RTOL`` for
-    all its iterations on this system; the block path certifies, and agrees
-    with the dense solver."""
+    """Without the rebase, the per-letter reference's bracket stalls above
+    ``BRACKET_RTOL`` for all its iterations on this system; the block path
+    certifies, and agrees with the dense solver and with the rebasing
+    per-letter reference."""
     sys0 = gaussian_system(
         np.random.default_rng(4131703719), {"a": 0, "A": 5, "b": 0, "B": 1}
     )
-    assert reference_cone_eigenpair(sys0) is None
+    assert reference_cone_eigenpair(sys0, rebase=False) is None
     got = perron._cone_eigenpair(sys0, 1e-9)
     assert got is not None
     rho, x = got
@@ -424,6 +457,50 @@ def test_block_cone_certifies_where_per_letter_reference_stalls():
     assert abs(rho - rho_dense) <= 1e-12 * rho_dense
     assert abs(rho - dense_rho_oracle(sys0)) <= 1e-12 * rho_dense
     assert np.linalg.norm(x - x_dense) <= 1e-9
+    rho_ref, ref = reference_cone_eigenpair(sys0)
+    assert abs(rho - rho_ref) <= 1e-12 * rho_ref
+    for a, s in sys0._slices.items():
+        assert np.linalg.norm(x[s, s] - ref[a]) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "seed, dims",
+    [
+        (1594, (1, 1, 1, 8)),
+        (255148123, (1, 1, 8, 8)),
+        (1, (1, 1, 3, 8)),
+        (846807, (1, 1, 1, 8)),
+        (172, (1, 0, 5, 8)),
+        (13301238, (0, 1, 7, 1)),
+        (2580008684, (0, 1, 8, 8)),
+        (3086510459, (0, 1, 2, 12)),
+    ],
+)
+def test_rounding_floor_examples_certify(monkeypatch, seed, dims):
+    """Eigentuples whose condition number puts the bracket's rounding floor
+    above ``BRACKET_RTOL`` (up to 5e11 here).  Without the rebase the cone
+    iteration stalls on all but 255148123, which closes the bracket at one
+    lucky iteration, and the dense solver answers."""
+    sys0 = gaussian_system(np.random.default_rng(seed), dict(zip("aAbB", dims)))
+    rebases = []
+    rebased = perron._rebased
+
+    def counted(*args):
+        out = rebased(*args)
+        rebases.append(out is not None)
+        return out
+
+    monkeypatch.setattr(perron, "_rebased", counted)
+    dense = CountDense(monkeypatch)
+    rho, forms = pf_eigenpair(sys0)
+    assert dense.calls == 0, "the cone iteration did not certify"
+    assert rebases == [True]
+    want = dense_rho_oracle(sys0)
+    assert abs(rho - want) <= 1e-12 * want
+    assert_eigenpair(sys0, rho, forms)
+    rho_ref, ref = reference_cone_eigenpair(sys0)
+    assert abs(rho - rho_ref) <= 1e-12 * rho_ref
+    assert all(np.linalg.norm(forms[a] - ref[a]) <= 1e-9 for a in AB.letters)
 
 
 # ------------------------------------------- strided bracket checks and the start
@@ -431,12 +508,13 @@ def test_block_cone_certifies_where_per_letter_reference_stalls():
 
 def reference_every_step_cone_eigenpair(sys, tol=1e-9):
     """The block-diagonal cone iteration that checks the bracket at every
-    iteration, from the identity.  It computes the bracket as
+    iteration, from the identity.  It computes the bracket and rebases as
     ``_cone_eigenpair`` does, so the two differ only in their schedule."""
     groups = perron._size_groups(sys)
     x = np.eye(sys.total_dim, dtype=complex)
+    base, back, near = sys, None, False
     for _ in range(perron._CONE_ITERATIONS):
-        y = _transfer(sys, x)
+        y = _transfer(base, x)
         bracket = perron._bracket(groups, x, y)
         if bracket is None:
             return None
@@ -445,11 +523,20 @@ def reference_every_step_cone_eigenpair(sys, tol=1e-9):
             rho = (lo + hi) / 2
             if rho <= tol:
                 return None
+            if back is not None:
+                x = back.conj().T @ x @ back
             forms = perron._unit_trace(x)
             rtol = max(tol, tolerances.RESIDUAL_FLOOR) * max(1.0, rho)
             if perron._certified(sys, rho, forms, rtol):
                 return float(rho), forms
             return None
+        if not near and hi - lo <= tolerances.REBASE_RTOL * hi:
+            near = True
+            rebased = perron._rebased(sys, groups, x)
+            if rebased is not None:
+                base, back = rebased
+                x = np.eye(sys.total_dim, dtype=complex)
+                continue
         t = float(np.trace(y).real)
         if not t > 0:
             return None
