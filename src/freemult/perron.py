@@ -20,15 +20,29 @@ letterwise spectra, so these are the extremes over the letters) satisfies
 eigentuple up to a residual of half the width, relative to ``|X|``.  The
 bracket costs two eigensolves per letter, stacked over the letters of equal
 dimension (one ``eigh`` and one ``eigvalsh`` per group), against one matrix
-product for a transfer step, so it is checked every ``_CHECK_STRIDE``
-iterations, and at every iteration once it is within ``CHECK_EVERY_RTOL``.
-Rounding an iterate with condition number ``kappa`` moves it by about
-``kappa * eps`` in Hilbert's projective metric, so the bracket of an iterate
-with ``kappa * eps`` above ``BRACKET_RTOL`` stalls at that rounding floor.
-Such an iterate, once its bracket is within ``REBASE_RTOL``, is made the
-identity by a change of basis at each letter: with ``X_a = V W V*``,
-the iteration goes on from the identity on ``W^{1/2} V* H V W^{-1/2}``,
-whose eigentuple is close to the identity, and maps its result back.
+product for a transfer step, so it is checked only where it is predicted to
+close.  The bracket of ``T(X)`` lies inside that of ``X``: ``T`` is
+positive, so ``alpha X <= T(X) <= beta X`` gives ``alpha T(X) <= T^2(X) <=
+beta T(X)``.  A later check therefore never loses a certificate, and the
+relative width shrinks geometrically, at about ``|lambda_2| / rho`` per
+iteration (Bushell, "Hilbert's metric and positive contraction mappings in
+a Banach space", 1973).  After a check that does not certify, the
+contraction per iteration of the width since the check before predicts the
+iteration at which it reaches ``BRACKET_RTOL``, and the next check is there,
+at most ``_MAX_CHECK_GAP`` iterations on.  Where no contraction is known (at
+the start, or when the width did not shrink) the next check is
+``_CHECK_STRIDE`` iterations on, or the next iteration once the width is
+within ``CHECK_EVERY_RTOL``.  Rounding an iterate with condition number
+``kappa`` moves it by about ``kappa * eps`` in Hilbert's projective metric,
+so the bracket of an iterate with ``kappa * eps`` above ``BRACKET_RTOL``
+stalls at that rounding floor, and a width or a shrink below it shows no
+contraction.  Such an iterate, once its bracket is within ``REBASE_RTOL``
+(the width the checks aim at until then), is made the identity by a change
+of basis at each letter: with ``X_a = V W V*``, the iteration goes on from
+the identity on ``W^{1/2} V* H V W^{-1/2}``, whose eigentuple is close to
+the identity, and maps its result back.  The change of basis is a
+congruence, which keeps the bracket, so the contraction measured before it
+still schedules the checks after it.
 When the bracket cannot close — the eigentuple lies on the boundary of the
 cone (the smallest eigenvalue of an iterate falls to ``DEFINITE_RTOL`` of
 its largest), the operator is nilpotent, the peripheral spectrum holds more
@@ -51,6 +65,8 @@ coordinates by fixed index arrays.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -81,9 +97,13 @@ from .tolerances import (
 
 FormTuple = dict[str, np.ndarray]
 
-# Cone iterations between bracket checks while the bracket is wider than
-# CHECK_EVERY_RTOL.
+# Cone iterations between bracket checks where the width's contraction is
+# not known (after the first check, or after a width that did not shrink
+# above its rounding floor) and the width is wider than CHECK_EVERY_RTOL.
 _CHECK_STRIDE = 8
+# Most cone iterations between bracket checks that a predicted contraction
+# may schedule: it bounds the iterations lost to a rate misread early on.
+_MAX_CHECK_GAP = 32
 # Cone iterations allowed before the dense eigensolver takes over.
 _CONE_ITERATIONS = 1000
 _EPS = float(np.finfo(float).eps)
@@ -215,11 +235,13 @@ def _cone_eigenpair(
     identity does.
 
     The bracket is checked at the first iteration, so a start that is an
-    eigentuple certifies in one step, then at the schedule of the module
-    docstring.  When the bracket first comes within ``REBASE_RTOL`` at an
+    eigentuple certifies in one step, then where the contraction of its
+    width predicts it to close (:func:`_checks_apart`, and the module
+    docstring).  When the bracket first comes within ``REBASE_RTOL`` at an
     iterate whose rounding floor is above ``BRACKET_RTOL``, the iteration
     goes on from the identity on the system rebased at that iterate
-    (:func:`_rebased`), and a certified iterate is mapped back.  The
+    (:func:`_rebased`, from the eigenpairs the bracket has just computed),
+    and a certified iterate is mapped back.  The
     eigensolves run letterwise, stacked over the letters of equal
     dimension, but an iterate counts as singular when its smallest
     eigenvalue over all letters is at most ``DEFINITE_RTOL`` of its largest
@@ -232,17 +254,20 @@ def _cone_eigenpair(
     w = [np.linalg.eigvalsh(_stacked(x, g)) for g in groups]
     if _singular(w):
         x = np.eye(sys.total_dim, dtype=complex)
-    every = near = False
+    near = False
     # The system the loop iterates, and the factor r that maps its forms
     # back to those of sys (X = r* X' r) once it is rebased.
     base, back = sys, None
+    # The iteration of the next check, and the iteration and relative width
+    # of the last check.
+    due, last = 0, None
     for k in range(_CONE_ITERATIONS):
         y = _transfer(base, x)
-        if every or k % _CHECK_STRIDE == 0:
+        if k == due:
             bracket = _bracket(groups, x, y)
             if bracket is None:
                 return None
-            lo, hi = bracket
+            lo, hi, eigs = bracket
             if hi - lo <= BRACKET_RTOL * hi:
                 rho = (lo + hi) / 2
                 if rho <= tol:
@@ -256,20 +281,57 @@ def _cone_eigenpair(
                 ):
                     return float(rho), forms
                 return None
+            width = (hi - lo) / hi if hi > 0 else math.inf
             if hi - lo <= REBASE_RTOL * hi and not near:
                 near = True
-                rebased = _rebased(sys, groups, x)
+                rebased = _rebased(sys, groups, eigs)
                 if rebased is not None:
+                    # The iterate becomes the identity on the rebased
+                    # system, a congruence that keeps its bracket.
                     base, back = rebased
-                    x = np.eye(sys.total_dim, dtype=complex)
-                    continue
-            if hi - lo <= CHECK_EVERY_RTOL * hi:
-                every = True
+                    y = _transfer(base, np.eye(sys.total_dim, dtype=complex))
+            # While a rebase is due, the next check aims at its width.
+            aim = BRACKET_RTOL
+            if not near and _floored(eigs, BRACKET_RTOL):
+                aim = REBASE_RTOL
+            due = k + _checks_apart(last, k, width, aim, eigs)
+            last = k, width
         t = float(np.trace(y).real)
         if not t > 0:
             return None
         x = y / t
     return None
+
+
+def _checks_apart(
+    last: tuple[int, float] | None,
+    k: int,
+    width: float,
+    aim: float,
+    eigs: list[tuple[np.ndarray, np.ndarray]],
+) -> int:
+    """Iterations from a check at iteration ``k`` that saw the relative
+    bracket width ``width`` and did not certify to the next check, given
+    the iteration and width ``last`` of the check before it and the stacked
+    eigenpairs ``eigs`` of the iterate.
+
+    The width contracts geometrically, so its contraction per iteration
+    since ``last`` predicts the iteration at which it reaches ``aim``
+    (``BRACKET_RTOL``, or ``REBASE_RTOL`` while a rebase is due); the
+    prediction is clamped to ``[1, _MAX_CHECK_GAP]``.  The rate is read
+    only when the width and its shrink since ``last`` are above the
+    rounding floor of the iterate: below it they are rounding.  Without a
+    rate, the next check is ``_CHECK_STRIDE`` away, or the next iteration
+    when the width is at most ``CHECK_EVERY_RTOL``: there it sits at its
+    rounding floor and may dip below ``BRACKET_RTOL`` at one iteration
+    only."""
+    if last is not None and width < last[1]:
+        k0, w0 = last
+        shrink = math.log(w0 / width)
+        if shrink > 0 and not _floored(eigs, min(w0 - width, width)):
+            steps = (k - k0) * math.log(width / aim) / shrink
+            return max(1, math.ceil(min(steps, _MAX_CHECK_GAP)))
+    return 1 if width <= CHECK_EVERY_RTOL else _CHECK_STRIDE
 
 
 def _size_groups(sys: MatrixSystem) -> list[np.ndarray]:
@@ -290,10 +352,11 @@ def _stacked(x: np.ndarray, group: np.ndarray) -> np.ndarray:
 
 def _bracket(
     groups: list[np.ndarray], x: np.ndarray, y: np.ndarray
-) -> tuple[float, float] | None:
+) -> tuple[float, float, list[tuple[np.ndarray, np.ndarray]]] | None:
     """The Collatz–Wielandt bracket ``(alpha, beta)`` of the iterate ``x``
     and its image ``y``, from one ``eigh`` and one ``eigvalsh`` per group of
-    letters of equal dimension; ``None`` when ``x`` is singular."""
+    letters of equal dimension, and the stacked eigenpairs of ``x`` per
+    group; ``None`` when ``x`` is singular."""
     eigs = [np.linalg.eigh(_stacked(x, g)) for g in groups]
     if _singular([w for w, _ in eigs]):
         return None
@@ -303,7 +366,7 @@ def _bracket(
         s = v / np.sqrt(w)[:, None, :]
         e = np.linalg.eigvalsh(s.conj().transpose(0, 2, 1) @ _stacked(y, g) @ s)
         lo, hi = min(lo, float(e[:, 0].min())), max(hi, float(e[:, -1].max()))
-    return lo, hi
+    return lo, hi, eigs
 
 
 def _singular(w: list[np.ndarray]) -> bool:
@@ -320,14 +383,26 @@ def _extremes(w: list[np.ndarray]) -> tuple[float, float]:
     return lo, max(float(v[:, -1].max()) for v in w)
 
 
+def _floored(eigs: list[tuple[np.ndarray, np.ndarray]], rtol: float) -> bool:
+    """Whether the rounding floor ``kappa * eps`` of the iterate with the
+    stacked eigenpairs ``eigs`` (``kappa`` its largest eigenvalue over its
+    smallest, over all letters) is above the relative bracket width
+    ``rtol``."""
+    lo, hi = _extremes([w for w, _ in eigs])
+    return hi > rtol / _EPS * lo
+
+
 def _rebased(
-    sys: MatrixSystem, groups: list[np.ndarray], x: np.ndarray
+    sys: MatrixSystem,
+    groups: list[np.ndarray],
+    eigs: list[tuple[np.ndarray, np.ndarray]],
 ) -> tuple[MatrixSystem, np.ndarray] | None:
-    """The system in the basis that makes the definite iterate ``x`` the
-    identity, and the block-diagonal ``r`` with ``x = r* r`` that maps its
-    forms back (``X = r* X' r``); ``None`` when the rounding floor
-    ``kappa * eps`` of ``x`` (``kappa`` its largest eigenvalue over its
-    smallest, over all letters) is at most ``BRACKET_RTOL``.
+    """The system in the basis that makes the definite iterate ``x``, given
+    by its stacked eigenpairs ``eigs`` per group (as :func:`_bracket`
+    returns them), the identity, and the block-diagonal ``r`` with
+    ``x = r* r`` that maps its forms back (``X = r* X' r``); ``None`` when
+    the rounding floor of ``x`` is at most ``BRACKET_RTOL``
+    (:func:`_floored`).
 
     With ``x_a = V W V*`` at each letter, ``r = W^{1/2} V*`` and the new
     transfer matrices are ``r_b H(b,a) r_a^{-1}``, built from the unitary
@@ -335,17 +410,16 @@ def _rebased(
     a unitary change of basis and no ``kappa``.  The transfer operator of
     the new system is conjugate to that of ``sys``: the same spectrum, and
     eigentuples ``X' = r^{-*} X r^{-1}``."""
-    eigs = [np.linalg.eigh(_stacked(x, g)) for g in groups]
-    lo, hi = _extremes([w for w, _ in eigs])
-    if hi <= BRACKET_RTOL / _EPS * lo:
+    if not _floored(eigs, BRACKET_RTOL):
         return None
-    r, s = np.zeros_like(x), np.zeros_like(x)
+    n = sys.total_dim
+    r, s = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
     for g, (w, v) in zip(groups, eigs):
         root = np.sqrt(w)
         block = g[:, :, None], g[:, None, :]
         r[block] = root[:, :, None] * v.conj().transpose(0, 2, 1)
         s[block] = v / root[:, None, :]
-    ident = np.eye(sys.total_dim, dtype=complex)
+    ident = np.eye(n, dtype=complex)
     return MatrixSystem._unchecked(sys.alphabet, sys.dims, r @ sys._H @ s, ident), r
 
 
@@ -410,8 +484,11 @@ def pf_eigenpair(sys: MatrixSystem, tol: float = PF_TOL) -> tuple[float, FormTup
     The certified cone iteration answers when it can, starting from the
     system's forms when they are definite (one bracket check when they are
     already an eigentuple, as for a compatible system) and checking the
-    bracket every ``_CHECK_STRIDE`` iterations until it is within
-    ``CHECK_EVERY_RTOL``, then at every one.  The dense eigensolver covers
+    Collatz–Wielandt bracket at the iteration where the contraction of its
+    width so far predicts it to close: every ``_CHECK_STRIDE`` iterations
+    where no contraction is known, and at every one at its rounding floor.
+    Since the bracket of each iterate lies inside that of the one before, a
+    later check never loses a certificate.  The dense eigensolver covers
     the rest with a leading eigenvector that is semidefinite on its own,
     else with the spectral projection of the identity tuple onto the
     leading eigenvectors.  Raises :class:`NumericError` when neither finds

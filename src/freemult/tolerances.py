@@ -61,8 +61,10 @@ PF_TOL = 1e-9
 # Relative width of the Collatz–Wielandt bracket that certifies rho.
 BRACKET_RTOL = 1e-12
 # Relative bracket width from which the cone iteration checks the bracket at
-# every iteration instead of at its stride: near BRACKET_RTOL the width sits
-# at its rounding floor and may fall below it at one iteration only.
+# every iteration when the width did not shrink since the check before
+# (elsewhere the width's contraction schedules the checks): near
+# BRACKET_RTOL the width sits at its rounding floor and may fall below it at
+# one iteration only.
 CHECK_EVERY_RTOL = 1e-9
 # Relative bracket width at which the cone iteration rebases an iterate whose
 # rounding floor (condition number times eps) is above BRACKET_RTOL.  The

@@ -263,11 +263,36 @@ def test_certified_rho_matches_dense_oracle(seed, dims):
     assert_eigenpair(sys0, rho, forms)
 
 
-def test_fallback_on_nilpotent_system(monkeypatch):
+def nilpotent_system():
+    # the only transfer goes a -> b and nothing leaves b
     dims = {a: 1 for a in AB.letters}
-    sys0 = MatrixSystem(
+    return MatrixSystem(
         AB, dims, {("b", "a"): [[1.0]]}, {a: [[1.0]] for a in AB.letters}
     )
+
+
+def singular_eigentuple_system():
+    # upper-triangular transfers leave the first coordinate line invariant;
+    # the quotient grows faster (3 * 0.6**2 against 3 * 0.3**2), so the
+    # leading eigentuple is pulled back from it and kills that line
+    H = {(b, a): np.array([[0.3, 0.5], [0.0, 0.6]]) for b, a in _pairs(AB)}
+    return MatrixSystem(
+        AB, {a: 2 for a in AB.letters}, H, {a: np.eye(2) for a in AB.letters}
+    )
+
+
+def bipartite_system():
+    # transfers only between {a, A} and {b, B}: the operator swaps the two
+    # halves of a tuple, so -rho is an eigenvalue too and the iterates
+    # alternate without converging
+    rng = np.random.default_rng(5)
+    halves = ({"a", "A"}, {"b", "B"})
+    pairs = [(b, a) for b, a in _pairs(AB) if (a in halves[0]) != (b in halves[0])]
+    return gaussian_system(rng, {"a": 2, "A": 1, "b": 2, "B": 3}, pairs)
+
+
+def test_fallback_on_nilpotent_system(monkeypatch):
+    sys0 = nilpotent_system()
     dense = CountDense(monkeypatch)
     rho, forms = pf_eigenpair(sys0)
     assert dense.calls == 1
@@ -276,13 +301,7 @@ def test_fallback_on_nilpotent_system(monkeypatch):
 
 
 def test_fallback_on_singular_eigentuple(monkeypatch):
-    # upper-triangular transfers leave the first coordinate line invariant;
-    # the quotient grows faster (3 * 0.6**2 against 3 * 0.3**2), so the
-    # leading eigentuple is pulled back from it and kills that line
-    H = {(b, a): np.array([[0.3, 0.5], [0.0, 0.6]]) for b, a in _pairs(AB)}
-    sys0 = MatrixSystem(
-        AB, {a: 2 for a in AB.letters}, H, {a: np.eye(2) for a in AB.letters}
-    )
+    sys0 = singular_eigentuple_system()
     dense = CountDense(monkeypatch)
     rho, forms = pf_eigenpair(sys0)
     assert dense.calls == 1
@@ -293,13 +312,7 @@ def test_fallback_on_singular_eigentuple(monkeypatch):
 
 
 def test_fallback_on_bipartite_system(monkeypatch):
-    # transfers only between {a, A} and {b, B}: the operator swaps the two
-    # halves of a tuple, so -rho is an eigenvalue too and the iterates
-    # alternate without converging
-    rng = np.random.default_rng(5)
-    halves = ({"a", "A"}, {"b", "B"})
-    pairs = [(b, a) for b, a in _pairs(AB) if (a in halves[0]) != (b in halves[0])]
-    sys0 = gaussian_system(rng, {"a": 2, "A": 1, "b": 2, "B": 3}, pairs)
+    sys0 = bipartite_system()
     mat, _ = transfer_matrix(sys0)
     evals = np.linalg.eigvals(mat)
     rho_want = dense_rho_oracle(sys0)
@@ -463,6 +476,10 @@ def test_block_cone_certifies_where_per_letter_reference_stalls():
         assert np.linalg.norm(x[s, s] - ref[a]) <= 1e-9
 
 
+def floor_system(seed, dims):
+    return gaussian_system(np.random.default_rng(seed), dict(zip("aAbB", dims)))
+
+
 @pytest.mark.parametrize(
     "seed, dims",
     [
@@ -481,7 +498,7 @@ def test_rounding_floor_examples_certify(monkeypatch, seed, dims):
     above ``BRACKET_RTOL`` (up to 5e11 here).  Without the rebase the cone
     iteration stalls on all but 255148123, which closes the bracket at one
     lucky iteration, and the dense solver answers."""
-    sys0 = gaussian_system(np.random.default_rng(seed), dict(zip("aAbB", dims)))
+    sys0 = floor_system(seed, dims)
     rebases = []
     rebased = perron._rebased
 
@@ -503,7 +520,7 @@ def test_rounding_floor_examples_certify(monkeypatch, seed, dims):
     assert all(np.linalg.norm(forms[a] - ref[a]) <= 1e-9 for a in AB.letters)
 
 
-# ------------------------------------------- strided bracket checks and the start
+# ------------------------------------------ predicted bracket checks and the start
 
 
 def reference_every_step_cone_eigenpair(sys, tol=1e-9):
@@ -518,7 +535,7 @@ def reference_every_step_cone_eigenpair(sys, tol=1e-9):
         bracket = perron._bracket(groups, x, y)
         if bracket is None:
             return None
-        lo, hi = bracket
+        lo, hi, eigs = bracket
         if hi - lo <= tolerances.BRACKET_RTOL * hi:
             rho = (lo + hi) / 2
             if rho <= tol:
@@ -532,7 +549,7 @@ def reference_every_step_cone_eigenpair(sys, tol=1e-9):
             return None
         if not near and hi - lo <= tolerances.REBASE_RTOL * hi:
             near = True
-            rebased = perron._rebased(sys, groups, x)
+            rebased = perron._rebased(sys, groups, eigs)
             if rebased is not None:
                 base, back = rebased
                 x = np.eye(sys.total_dim, dtype=complex)
@@ -549,7 +566,7 @@ def reference_every_step_cone_eigenpair(sys, tol=1e-9):
     seed=st.integers(0, 2**32 - 1),
     dims=st.fixed_dictionaries({a: st.integers(0, 12) for a in AB.letters}),
 )
-def test_strided_checks_match_every_step_reference(seed, dims):
+def test_predicted_checks_match_every_step_reference(seed, dims):
     if not any(dims.values()):
         return
     # identity forms: both loops run the same iterates
@@ -564,7 +581,10 @@ def test_strided_checks_match_every_step_reference(seed, dims):
     assert np.linalg.norm(x - ref) <= 1e-9
 
 
-def test_strided_checks_halve_the_eigensolves(monkeypatch):
+def test_predicted_checks_take_a_sixth_of_the_eigensolves(monkeypatch):
+    # The width's contraction between checks schedules the next one where
+    # the width reaches BRACKET_RTOL: 4 ``eigh`` calls against 57 of the
+    # every-step reference here (16 under a check at every 8th iteration).
     sys0 = gaussian_system(np.random.default_rng(3), {a: 12 for a in AB.letters})
     calls = []
     eigh = np.linalg.eigh
@@ -579,7 +599,44 @@ def test_strided_checks_halve_the_eigensolves(monkeypatch):
     calls.clear()
     rho, _ = perron._cone_eigenpair(sys0, 1e-9)
     assert abs(rho - rho_ref) <= 1e-12 * rho_ref
-    assert 0 < 2 * len(calls) <= ref_calls
+    assert 0 < 6 * len(calls) <= ref_calls
+
+
+@pytest.mark.parametrize(
+    "make, checks, steps",
+    [
+        (nilpotent_system, 1, 2),
+        (singular_eigentuple_system, 4, 25),
+        (bipartite_system, 125, 1000),
+        (lambda: floor_system(846807, (1, 1, 1, 8)), 10, 32),
+        (lambda: floor_system(1, (1, 1, 3, 8)), 4, 26),
+        (lambda: floor_system(172, (1, 0, 5, 8)), 14, 57),
+    ],
+    ids=["nilpotent", "singular", "bipartite", "846807", "1", "172"],
+)
+def test_predicted_checks_add_no_work_on_hard_systems(
+    monkeypatch, make, checks, steps
+):
+    """The dense-fallback systems and three rounding-floor examples take no
+    more bracket checks and transfer steps than under a check at every 8th
+    iteration (and at every one within ``CHECK_EVERY_RTOL``), whose counts
+    are ``checks`` and ``steps``.  A width or a shrink under the rounding
+    floor gives no rate (the singular system's width shrinks by 3e-16 in
+    its first 8 iterations), and the checks aim at the rebase while it is
+    due (the floor examples)."""
+    sys0 = make()
+    calls = {"_bracket": 0, "_transfer": 0}
+    for name in calls:
+        inner = getattr(perron, name)
+
+        def counted(*args, name=name, inner=inner):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(perron, name, counted)
+    perron._cone_eigenpair(sys0, 1e-9)
+    assert 0 < calls["_bracket"] <= checks
+    assert calls["_transfer"] <= steps
 
 
 def test_compatible_forms_certify_in_one_step(monkeypatch, rng):
