@@ -43,25 +43,33 @@ the identity on ``W^{1/2} V* H V W^{-1/2}``, whose eigentuple is close to
 the identity, and maps its result back.  The change of basis is a
 congruence, which keeps the bracket, so the contraction measured before it
 still schedules the checks after it.
+
 When the bracket cannot close — the eigentuple lies on the boundary of the
 cone (the smallest eigenvalue of an iterate falls to ``DEFINITE_RTOL`` of
-its largest), the operator is nilpotent, the peripheral spectrum holds more
-than ``rho``, or ``_CONE_ITERATIONS`` pass first — the dense eigensolver on
-:func:`transfer_matrix` decides.  Its real eigenvalues within the leading
-window below ``rho`` are scanned, best first, for an eigenvector that is
-semidefinite on its own.  When none is (a repeated radius whose eigenspace
-meets the boundary of the cone, as for ``V + V`` with a singular eigentuple
-of ``V``), the spectral projection of the identity tuple onto the leading
-eigenvectors is taken instead.  By Perron–Frobenius theory for positive maps
-(Evans and Høegh-Krohn, 1978) it lies in the cone: it is the limit of the
-averages of the iterates ``T^n(1) / rho^n``.  Each candidate is certified by
-its positivity and eigen-residual.
+its largest), the peripheral spectrum holds more than ``rho``, or
+``_CONE_ITERATIONS`` pass first — the dense eigensolver on
+:func:`transfer_matrix` decides.  So that a singular iterate is found
+early, the next check is also no later than where the contraction of the
+iterate's smallest eigenvalue over its largest since the check before
+predicts it to reach ``DEFINITE_RTOL``.  A nilpotent operator needs no
+dense solve: an iterate whose image vanishes against it (``VANISH_RTOL`` of
+its trace) is certified for radius zero.
 
-Vectorization uses the real basis of Hermitian matrices (diagonal units,
-symmetric and antisymmetric off-diagonal units), making the operator a
-real matrix on ``sum_a dims[a]^2`` coordinates.  The dense matrix is built
-blockwise, one ``kron(H*, H^T)`` per stored pair mapped to these
-coordinates by fixed index arrays.
+The dense path takes the spectral projection of the identity tuple onto the
+eigenvectors of the leading real eigenvalues.  By Perron–Frobenius theory
+for positive maps (Evans and Høegh-Krohn, 1978) it lies in the cone: it is
+the limit of the averages of the iterates ``T^n(1) / rho^n``.  It is
+certified by its positivity and eigen-residual, like the iterate, and only
+where the eigensolver's first-order error bound on the leading eigenvalues,
+``eps |T| |P|`` for the spectral projector ``P`` (Frobenius norms), is
+within ``tol``.  No residual bounds the error of a defective eigenvalue,
+which the eigensolver scatters by up to about ``eps**(1/k)`` for a Jordan
+block of size ``k``; there ``|P|`` is huge, so for a defective leading
+eigenvalue, as in a non-split self-extension, :func:`pf_eigenpair` raises
+rather than return a scattered radius.  The dense matrix is complex, on the
+coordinates ``x[sys._same]`` of a block-diagonal form array: each letter's
+block entries, row-major, letters in alphabet order.  It is built
+blockwise, one ``kron(H*, H^T)`` per stored pair.
 """
 
 from __future__ import annotations
@@ -74,6 +82,7 @@ from .errors import InputError, NumericError, ValidationError
 from .system import (
     MatrixSystem,
     _excess,
+    _layout,
     _snorm,
     _transfer,
     compatibility_defect,
@@ -91,7 +100,6 @@ from .tolerances import (
     PF_TOL,
     REBASE_RTOL,
     RESIDUAL_FLOOR,
-    TRACE_FLOOR,
     VANISH_RTOL,
 )
 
@@ -109,84 +117,18 @@ _CONE_ITERATIONS = 1000
 _EPS = float(np.finfo(float).eps)
 
 
-def _hermitian_index(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-major flat positions of the diagonal, the upper and the lower
-    triangle of a ``d x d`` matrix; ``upper[k]`` and ``lower[k]`` mirror."""
-    i, j = np.triu_indices(d, 1)
-    return np.arange(d) * (d + 1), i * d + j, j * d + i
-
-
-class _HermitianLayout:
-    """Real coordinates on block-diagonal Hermitian form arrays.
-
-    Letter ``a`` owns ``dims[a]**2`` coordinates from ``offsets[a]``: the
-    diagonal of its block first, then the real and imaginary part of each
-    upper entry, interleaved.
-    """
-
-    def __init__(self, sys: MatrixSystem):
-        self.letters = sys.alphabet.letters
-        self.dims = {a: sys.dims[a] for a in self.letters}
-        self.slices = sys._slices
-        self.total_dim = sys.total_dim
-        self.offsets = {}
-        self.index = {}
-        n = 0
-        for a in self.letters:
-            self.offsets[a] = n
-            self.index[a] = _hermitian_index(self.dims[a])
-            n += self.dims[a] ** 2
-        self.size = n
-
-    def to_vector(self, forms: np.ndarray) -> np.ndarray:
-        v = np.zeros(self.size)
-        for a in self.letters:
-            d, o, s = self.dims[a], self.offsets[a], self.slices[a]
-            diag, up, _ = self.index[a]
-            x = forms[s, s].reshape(-1)
-            v[o : o + d] = x[diag].real
-            v[o + d : o + d * d : 2] = x[up].real
-            v[o + d + 1 : o + d * d : 2] = x[up].imag
-        return v
-
-    def from_vector(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for a in self.letters:
-            d, o, s = self.dims[a], self.offsets[a], self.slices[a]
-            diag, up, lo = self.index[a]
-            x = np.zeros(d * d, dtype=complex)
-            re = v[o + d : o + d * d : 2]
-            im = v[o + d + 1 : o + d * d : 2]
-            x[diag] = v[o : o + d]
-            x[up] = re + 1j * im
-            x[lo] = re - 1j * im
-            out[s, s] = x.reshape(d, d)
-        return out
-
-
-def transfer_matrix(sys: MatrixSystem) -> tuple[np.ndarray, _HermitianLayout]:
-    """The transfer operator as a dense real matrix in Hermitian coordinates."""
-    layout = _HermitianLayout(sys)
-    m = np.zeros((layout.size, layout.size))
+def transfer_matrix(sys: MatrixSystem) -> np.ndarray:
+    """The transfer operator as a dense complex matrix on the coordinates
+    ``x[sys._same]`` of a block-diagonal form array: each letter's block
+    entries, row-major, letters in alphabet order."""
+    sl = _layout(sys.alphabet, {a: d * d for a, d in sys.dims.items()})
+    n = sum(d * d for d in sys.dims.values())
+    m = np.zeros((n, n), dtype=complex)
     for b, a in sys.stored_pairs():
         h = sys.H(b, a)
         # vec(H* X H) = kron(H*, H^T) vec(X) on row-major vectorizations.
-        k = np.kron(h.conj().T, h.T)
-        db, da = sys.dims[b], sys.dims[a]
-        # Columns: the images of the Hermitian basis elements of V_b.
-        diag, up, lo = layout.index[b]
-        cols = np.empty((da * da, db * db), dtype=complex)
-        cols[:, :db] = k[:, diag]
-        cols[:, db::2] = k[:, up] + k[:, lo]
-        cols[:, db + 1 :: 2] = 1j * (k[:, up] - k[:, lo])
-        # Rows: the Hermitian coordinates of V_a, read off those images.
-        diag, up, _ = layout.index[a]
-        oa, ob = layout.offsets[a], layout.offsets[b]
-        block = m[oa : oa + da * da, ob : ob + db * db]
-        block[:da] += cols[diag].real
-        block[da::2] += cols[up].real
-        block[da + 1 :: 2] += cols[up].imag
-    return m, layout
+        m[sl[a], sl[b]] = np.kron(h.conj().T, h.T)
+    return m
 
 
 def _unit_trace(x: np.ndarray) -> np.ndarray:
@@ -198,16 +140,16 @@ def _unit_trace(x: np.ndarray) -> np.ndarray:
     return x / t
 
 
-def _certified(sys: MatrixSystem, rho: float, x: np.ndarray, rtol: float) -> bool:
+def _certified(rho: float, x: np.ndarray, y: np.ndarray, rtol: float) -> bool:
     """Whether the form array ``x`` is positive semidefinite up to
-    ``EIGENTUPLE_PSD_TOL`` and an eigenvector for ``rho`` up to a residual
-    of ``rtol``, both relative to ``|x|``."""
+    ``EIGENTUPLE_PSD_TOL`` and, with its image ``y = T(x)``, an eigenvector
+    for ``rho`` up to a residual of ``rtol``, both relative to ``|x|``."""
     scale = _snorm(x)
     if scale == 0.0:
         return False
     if not is_psd(x / scale, EIGENTUPLE_PSD_TOL):
         return False
-    resid = _transfer(sys, x) - rho * x
+    resid = y - rho * x
     return _excess(resid, rtol * scale, lambda: _snorm(resid)) is None
 
 
@@ -236,14 +178,18 @@ def _cone_eigenpair(
 
     The bracket is checked at the first iteration, so a start that is an
     eigentuple certifies in one step, then where the contraction of its
-    width predicts it to close (:func:`_checks_apart`, and the module
-    docstring).  When the bracket first comes within ``REBASE_RTOL`` at an
-    iterate whose rounding floor is above ``BRACKET_RTOL``, the iteration
-    goes on from the identity on the system rebased at that iterate
-    (:func:`_rebased`, from the eigenpairs the bracket has just computed),
-    and a certified iterate is mapped back.  The
-    eigensolves run letterwise, stacked over the letters of equal
-    dimension, but an iterate counts as singular when its smallest
+    width, or of the iterate's eigenvalue ratio toward ``DEFINITE_RTOL``,
+    predicts it to close or to turn singular (:func:`_checks_apart`, and
+    the module docstring).  When the bracket first comes within
+    ``REBASE_RTOL`` at an iterate whose rounding floor is above
+    ``BRACKET_RTOL``, the iteration goes on from the identity on the system
+    rebased at that iterate (:func:`_rebased`, from the eigenpairs the
+    bracket has just computed), and a certified iterate is mapped back.  An
+    iterate whose image has a trace of at most ``VANISH_RTOL`` of its own
+    (the operator is nilpotent), or whose bracket closes at a radius of at
+    most ``tol``, is certified for radius zero against that image, mapped
+    back.  The eigensolves run letterwise, stacked over the letters of
+    equal dimension, but an iterate counts as singular when its smallest
     eigenvalue over all letters is at most ``DEFINITE_RTOL`` of its largest
     over all letters, as for one eigensolve of the whole array: a letter
     whose form is faint against the others' still sends the solve to the
@@ -254,34 +200,29 @@ def _cone_eigenpair(
     w = [np.linalg.eigvalsh(_stacked(x, g)) for g in groups]
     if _singular(w):
         x = np.eye(sys.total_dim, dtype=complex)
+    # The trace of x: that of the start, then one.
+    size = float(np.trace(x).real)
     near = False
     # The system the loop iterates, and the factor r that maps its forms
     # back to those of sys (X = r* X' r) once it is rebased.
     base, back = sys, None
-    # The iteration of the next check, and the iteration and relative width
-    # of the last check.
+    # The iteration of the next check, and the iteration, relative width
+    # and eigenvalue ratio of the last check.
     due, last = 0, None
     for k in range(_CONE_ITERATIONS):
         y = _transfer(base, x)
+        t = float(np.trace(y).real)
+        if not t > VANISH_RTOL * size:
+            return _answer(sys, 0.0, x, y, back, tol)
         if k == due:
             bracket = _bracket(groups, x, y)
             if bracket is None:
                 return None
             lo, hi, eigs = bracket
             if hi - lo <= BRACKET_RTOL * hi:
-                rho = (lo + hi) / 2
-                if rho <= tol:
-                    # The dense path reports such radii as zero.
-                    return None
-                if back is not None:
-                    x = back.conj().T @ x @ back
-                forms = _unit_trace(x)
-                if _certified(
-                    sys, rho, forms, max(tol, RESIDUAL_FLOOR) * max(1.0, rho)
-                ):
-                    return float(rho), forms
-                return None
+                return _answer(sys, (lo + hi) / 2, x, y, back, tol)
             width = (hi - lo) / hi if hi > 0 else math.inf
+            ratio = _ratio(eigs)
             if hi - lo <= REBASE_RTOL * hi and not near:
                 near = True
                 rebased = _rebased(sys, groups, eigs)
@@ -290,48 +231,77 @@ def _cone_eigenpair(
                     # system, a congruence that keeps its bracket.
                     base, back = rebased
                     y = _transfer(base, np.eye(sys.total_dim, dtype=complex))
+                    t = float(np.trace(y).real)
             # While a rebase is due, the next check aims at its width.
             aim = BRACKET_RTOL
-            if not near and _floored(eigs, BRACKET_RTOL):
+            if not near and _floored(ratio, BRACKET_RTOL):
                 aim = REBASE_RTOL
-            due = k + _checks_apart(last, k, width, aim, eigs)
-            last = k, width
-        t = float(np.trace(y).real)
-        if not t > 0:
-            return None
-        x = y / t
+            due = k + _checks_apart(last, (k, width, ratio), aim)
+            last = k, width, ratio
+        x, size = y / t, 1.0
+    return None
+
+
+def _answer(
+    sys: MatrixSystem,
+    rho: float,
+    x: np.ndarray,
+    y: np.ndarray,
+    back: np.ndarray | None,
+    tol: float,
+) -> tuple[float, np.ndarray] | None:
+    """The radius ``rho`` and the iterate ``x``, mapped back to ``sys`` by
+    ``back`` and scaled to trace one, when they pass :func:`_certified`;
+    else ``None``.  A radius of at most ``tol`` counts as zero and is
+    certified against the loop's image ``y = T(x)``, mapped back alike; any
+    other against a fresh image on ``sys``."""
+    if back is not None:
+        x, y = back.conj().T @ x @ back, back.conj().T @ y @ back
+    forms = _unit_trace(x)
+    if rho <= tol:
+        rho, image = 0.0, y / float(np.trace(x).real)
+    else:
+        image = _transfer(sys, forms)
+    if _certified(rho, forms, image, max(tol, RESIDUAL_FLOOR) * max(1.0, rho)):
+        return float(rho), forms
     return None
 
 
 def _checks_apart(
-    last: tuple[int, float] | None,
-    k: int,
-    width: float,
+    last: tuple[int, float, float] | None,
+    now: tuple[int, float, float],
     aim: float,
-    eigs: list[tuple[np.ndarray, np.ndarray]],
 ) -> int:
-    """Iterations from a check at iteration ``k`` that saw the relative
-    bracket width ``width`` and did not certify to the next check, given
-    the iteration and width ``last`` of the check before it and the stacked
-    eigenpairs ``eigs`` of the iterate.
+    """Iterations from a check that did not certify to the next check,
+    given the iteration, the relative bracket width and the eigenvalue
+    ratio of the iterate (:func:`_ratio`) at that check, ``now``, and at
+    the check before it, ``last``.
 
     The width contracts geometrically, so its contraction per iteration
     since ``last`` predicts the iteration at which it reaches ``aim``
-    (``BRACKET_RTOL``, or ``REBASE_RTOL`` while a rebase is due); the
-    prediction is clamped to ``[1, _MAX_CHECK_GAP]``.  The rate is read
-    only when the width and its shrink since ``last`` are above the
+    (``BRACKET_RTOL``, or ``REBASE_RTOL`` while a rebase is due).  The rate
+    is read only when the width and its shrink since ``last`` are above the
     rounding floor of the iterate: below it they are rounding.  Without a
     rate, the next check is ``_CHECK_STRIDE`` away, or the next iteration
     when the width is at most ``CHECK_EVERY_RTOL``: there it sits at its
     rounding floor and may dip below ``BRACKET_RTOL`` at one iteration
-    only."""
-    if last is not None and width < last[1]:
-        k0, w0 = last
-        shrink = math.log(w0 / width)
-        if shrink > 0 and not _floored(eigs, min(w0 - width, width)):
-            steps = (k - k0) * math.log(width / aim) / shrink
-            return max(1, math.ceil(min(steps, _MAX_CHECK_GAP)))
-    return 1 if width <= CHECK_EVERY_RTOL else _CHECK_STRIDE
+    only.  An iterate bound for the boundary of the cone has an eigenvalue
+    ratio that falls geometrically too, so when it fell since ``last`` the
+    check is no later than where its contraction predicts it to reach
+    ``DEFINITE_RTOL``, the singular test of :func:`_bracket`.  The
+    prediction is clamped to ``[1, _MAX_CHECK_GAP]``."""
+    k, width, ratio = now
+    steps = 1 if width <= CHECK_EVERY_RTOL else _CHECK_STRIDE
+    if last is not None:
+        k0, w0, r0 = last
+        if width < w0:
+            shrink = math.log(w0 / width)
+            if shrink > 0 and not _floored(ratio, min(w0 - width, width)):
+                steps = (k - k0) * math.log(width / aim) / shrink
+        if ratio < r0:
+            fall = math.log(r0 / ratio)
+            steps = min(steps, (k - k0) * math.log(ratio / DEFINITE_RTOL) / fall)
+    return max(1, math.ceil(min(steps, _MAX_CHECK_GAP)))
 
 
 def _size_groups(sys: MatrixSystem) -> list[np.ndarray]:
@@ -383,13 +353,18 @@ def _extremes(w: list[np.ndarray]) -> tuple[float, float]:
     return lo, max(float(v[:, -1].max()) for v in w)
 
 
-def _floored(eigs: list[tuple[np.ndarray, np.ndarray]], rtol: float) -> bool:
-    """Whether the rounding floor ``kappa * eps`` of the iterate with the
-    stacked eigenpairs ``eigs`` (``kappa`` its largest eigenvalue over its
-    smallest, over all letters) is above the relative bracket width
-    ``rtol``."""
+def _ratio(eigs: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """The smallest eigenvalue of the iterate with the stacked eigenpairs
+    ``eigs`` over its largest, over all letters at once."""
     lo, hi = _extremes([w for w, _ in eigs])
-    return hi > rtol / _EPS * lo
+    return lo / hi
+
+
+def _floored(ratio: float, rtol: float) -> bool:
+    """Whether the rounding floor ``kappa * eps`` of an iterate with the
+    eigenvalue ratio ``ratio`` (:func:`_ratio`; ``kappa`` is its inverse)
+    is above the relative bracket width ``rtol``."""
+    return ratio * rtol < _EPS
 
 
 def _rebased(
@@ -410,7 +385,7 @@ def _rebased(
     a unitary change of basis and no ``kappa``.  The transfer operator of
     the new system is conjugate to that of ``sys``: the same spectrum, and
     eigentuples ``X' = r^{-*} X r^{-1}``."""
-    if not _floored(eigs, BRACKET_RTOL):
+    if not _floored(_ratio(eigs), BRACKET_RTOL):
         return None
     n = sys.total_dim
     r, s = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
@@ -423,57 +398,31 @@ def _rebased(
     return MatrixSystem._unchecked(sys.alphabet, sys.dims, r @ sys._H @ s, ident), r
 
 
-def _nilpotent_eigentuple(mat: np.ndarray, layout: _HermitianLayout) -> np.ndarray:
-    # With spectral radius zero the operator is nilpotent; the last nonzero
-    # iterate of the identity tuple is positive semidefinite and killed by
-    # the next step, hence an eigenvector for eigenvalue zero.
-    prev = layout.to_vector(np.eye(layout.total_dim))
-    for _ in range(layout.size + 1):
-        nxt = mat @ prev
-        if np.linalg.norm(nxt) <= VANISH_RTOL * max(1.0, np.linalg.norm(prev)):
-            return layout.from_vector(prev)
-        prev = nxt
-    raise NumericError("transfer operator looked nilpotent but never vanished")
-
-
 def _dense_eigenpair(sys: MatrixSystem, tol: float) -> tuple[float, np.ndarray]:
-    mat, layout = transfer_matrix(sys)
+    mat = transfer_matrix(sys)
     evals, evecs = np.linalg.eig(mat)
-    rho = float(np.max(np.abs(evals))) if evals.size else 0.0
-
-    if rho <= tol:
-        return 0.0, _unit_trace(_nilpotent_eigentuple(mat, layout))
-
-    # Real eigenvalues near the spectral radius; the scan takes them best first.
+    rho = float(np.max(np.abs(evals)))
+    # Real eigenvalues near the spectral radius count as leading.
     scale = max(1.0, rho)
     leading = (np.abs(evals.imag) <= tol * scale) & (
         evals.real >= rho - max(tol, LEADING_GAP) * scale
     )
-    bound = max(tol, RESIDUAL_FLOOR) * scale
-    order = np.argsort(-evals.real)
-    for k in order[leading[order]]:
-        vec = evecs[:, k]
-        real_part = vec.real if np.linalg.norm(vec.real) >= np.linalg.norm(
-            vec.imag
-        ) else vec.imag
-        x = layout.from_vector(real_part)
-        t = float(np.trace(x).real)
-        if abs(t) < TRACE_FLOOR:
-            continue
-        forms = _unit_trace(x / t)
-        if _certified(sys, evals[k].real, forms, bound):
-            return float(evals[k].real), forms
-
-    # No leading eigenvector is semidefinite on its own (a repeated radius
-    # whose eigenspace holds the cone's boundary): the spectral projection of
-    # the identity onto the leading eigenvectors is in the cone.
-    ident = layout.to_vector(np.eye(layout.total_dim))
-    coef = np.linalg.lstsq(evecs, ident, rcond=None)[0]
-    x = layout.from_vector((evecs[:, leading] @ coef[leading]).real)
-    if float(np.trace(x).real) > 0:
-        forms = _unit_trace(x)
-        if _certified(sys, rho, forms, bound):
-            return rho, forms
+    # The spectral projector onto the leading eigenvectors.  To first order
+    # the eigensolver's backward error, about eps |T|, moves the leading
+    # eigenvalues by at most |P| times that (Kato); a defective leading
+    # eigenvalue, which the eigensolver scatters, shows as a huge |P|.
+    inv = np.linalg.lstsq(evecs, np.eye(len(evals)), rcond=None)[0]
+    proj = evecs[:, leading] @ inv[leading]
+    if _EPS * np.linalg.norm(mat) * np.linalg.norm(proj) <= tol * scale:
+        # The projection of the identity tuple, in the coordinates of mat.
+        n = sys.total_dim
+        x = np.zeros((n, n), dtype=complex)
+        x[sys._same] = proj @ np.eye(n)[sys._same]
+        if float(np.trace(x).real) > 0:
+            forms = _unit_trace(x)
+            rtol = max(tol, RESIDUAL_FLOOR) * scale
+            if _certified(rho, forms, _transfer(sys, forms), rtol):
+                return rho, forms
     raise NumericError(f"no certified leading eigenpair (spectral radius {rho:.6e})")
 
 
@@ -488,11 +437,12 @@ def pf_eigenpair(sys: MatrixSystem, tol: float = PF_TOL) -> tuple[float, FormTup
     width so far predicts it to close: every ``_CHECK_STRIDE`` iterations
     where no contraction is known, and at every one at its rounding floor.
     Since the bracket of each iterate lies inside that of the one before, a
-    later check never loses a certificate.  The dense eigensolver covers
-    the rest with a leading eigenvector that is semidefinite on its own,
-    else with the spectral projection of the identity tuple onto the
-    leading eigenvectors.  Raises :class:`NumericError` when neither finds
-    a certified pair.
+    later check never loses a certificate; a nilpotent operator is
+    certified there too, for radius zero.  The dense eigensolver covers the
+    rest with the spectral projection of the identity tuple onto the
+    eigenvectors of the leading real eigenvalues.  Raises
+    :class:`NumericError` when that is not certified either, as for a
+    defective leading eigenvalue.
     """
     if sys.total_dim == 0:
         raise InputError("the zero system has no leading eigenpair")

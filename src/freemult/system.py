@@ -445,9 +445,9 @@ class Subsystem:
         return f"Subsystem({d})"
 
 
-def orthonormal_columns(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the column span, rank cut at a relative
-    singular-value threshold."""
+def orthonormal_columns(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the column span, rank cut at ``RANK_RTOL`` of
+    the largest singular value."""
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise InputError("expected a matrix")
@@ -456,19 +456,20 @@ def orthonormal_columns(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
     u, s, _ = np.linalg.svd(m, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((m.shape[0], 0), dtype=complex)
-    r = int(np.sum(s > rtol * s[0]))
+    r = int(np.sum(s > RANK_RTOL * s[0]))
     return u[:, :r]
 
 
-def null_space(m: np.ndarray, rtol: float = RANK_RTOL) -> np.ndarray:
-    """Orthonormal basis of the kernel, rank cut at a relative threshold."""
+def null_space(m: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the kernel, rank cut at ``RANK_RTOL`` of the
+    largest singular value."""
     m = np.asarray(m, dtype=complex)
     if m.shape[0] == 0 or m.shape[1] == 0:
         return np.eye(m.shape[1], dtype=complex)
     u, s, vh = np.linalg.svd(m)
     if s[0] == 0.0:
         return np.eye(m.shape[1], dtype=complex)
-    r = int(np.sum(s > rtol * s[0]))
+    r = int(np.sum(s > RANK_RTOL * s[0]))
     return vh[r:].conj().T
 
 

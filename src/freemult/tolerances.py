@@ -87,12 +87,10 @@ RESIDUAL_FLOOR = 1e-10
 # Real eigenvalues this close below rho, relative to ``max(1, rho)``, count
 # as leading.
 LEADING_GAP = 1e-12
-# Eigenvectors with a smaller absolute total trace cannot be scaled into the
-# cone.
-TRACE_FLOOR = 1e-12
-# An array this small relative to its scale has vanished: an iterate against
-# its predecessor in the nilpotent case of ``pf_eigenpair``, a pulled-back
-# form block against the largest in ``decompose``.
+# An array this small relative to its scale has vanished: the trace of a
+# cone iterate's image against the iterate's own in ``pf_eigenpair`` (the
+# iterate is then an eigentuple for radius zero), a pulled-back form block
+# against the largest in ``decompose``.
 VANISH_RTOL = 1e-14
 # Floor of the tolerance on the compatibility defect that normalization may
 # leave ...
