@@ -53,7 +53,10 @@ early, the next check is also no later than where the contraction of the
 iterate's smallest eigenvalue over its largest since the check before
 predicts it to reach ``DEFINITE_RTOL``.  A nilpotent operator needs no
 dense solve: an iterate whose image vanishes against it (``VANISH_RTOL`` of
-its trace) is certified for radius zero.
+its trace) is certified for radius zero, when the traces of the iterates
+since the start bound the radius by ``tol`` as well; one vanishing image
+is no bound, since a transient direction may die while a small eigenvalue
+remains.
 
 The dense path takes the spectral projection of the identity tuple onto the
 eigenvectors of the leading real eigenvalues.  By Perron–Frobenius theory
@@ -186,22 +189,28 @@ def _cone_eigenpair(
     rebased at that iterate (:func:`_rebased`, from the eigenpairs the
     bracket has just computed), and a certified iterate is mapped back.  An
     iterate whose image has a trace of at most ``VANISH_RTOL`` of its own
-    (the operator is nilpotent), or whose bracket closes at a radius of at
-    most ``tol``, is certified for radius zero against that image, mapped
-    back.  The eigensolves run letterwise, stacked over the letters of
-    equal dimension, but an iterate counts as singular when its smallest
-    eigenvalue over all letters is at most ``DEFINITE_RTOL`` of its largest
-    over all letters, as for one eigensolve of the whole array: a letter
-    whose form is faint against the others' still sends the solve to the
-    dense path.
+    is certified for radius zero against that image, mapped back, when the
+    traces of the iterates since the start bound the radius by ``tol``
+    (the operator is nilpotent), and sent to the dense path otherwise.  An
+    iterate whose bracket closes at a radius of at most ``tol`` is
+    certified for radius zero against its image alike.  The eigensolves run
+    letterwise, stacked over the letters of equal dimension, but an iterate
+    counts as singular when its smallest eigenvalue over all letters is at
+    most ``DEFINITE_RTOL`` of its largest over all letters, as for one
+    eigensolve of the whole array: a letter whose form is faint against the
+    others' still sends the solve to the dense path.
     """
     groups = _size_groups(sys)
     x = sys._B
     w = [np.linalg.eigvalsh(_stacked(x, g)) for g in groups]
+    low = _extremes(w)[0]
     if _singular(w):
-        x = np.eye(sys.total_dim, dtype=complex)
-    # The trace of x: that of the start, then one.
+        x, low = np.eye(sys.total_dim, dtype=complex), 1.0
     size = float(np.trace(x).real)
+    x = x / size
+    # log(tr T^j(x0) / lambda_min(x0)) for the start x0 of the iterate
+    # x = T^j(x0) / tr T^j(x0), with j = k - k0.
+    logb, k0 = math.log(size / low), 0
     near = False
     # The system the loop iterates, and the factor r that maps its forms
     # back to those of sys (X = r* X' r) once it is rebased.
@@ -212,8 +221,15 @@ def _cone_eigenpair(
     for k in range(_CONE_ITERATIONS):
         y = _transfer(base, x)
         t = float(np.trace(y).real)
-        if not t > VANISH_RTOL * size:
-            return _answer(sys, 0.0, x, y, back, tol)
+        if not t > VANISH_RTOL:
+            # x0 >= lambda_min(x0) 1 and T is positive, and the norm of a
+            # positive map is that of its image of the identity, so rho^n
+            # <= |T^n(1)| <= tr T^n(x0) / lambda_min(x0), n = k + 1 - k0.
+            # One vanishing image is no such bound: x may sit on a
+            # transient direction that dies while a small eigenvalue stays.
+            bound = math.exp((logb + math.log(t)) / (k + 1 - k0)) if t > 0 else 0.0
+            return _answer(sys, 0.0, x, y, back, tol) if bound <= tol else None
+        logb += math.log(t)
         if k == due:
             bracket = _bracket(groups, x, y)
             if bracket is None:
@@ -228,17 +244,19 @@ def _cone_eigenpair(
                 rebased = _rebased(sys, groups, eigs)
                 if rebased is not None:
                     # The iterate becomes the identity on the rebased
-                    # system, a congruence that keeps its bracket.
+                    # system, a congruence that keeps its bracket; the
+                    # trace bound restarts from it.
                     base, back = rebased
                     y = _transfer(base, np.eye(sys.total_dim, dtype=complex))
                     t = float(np.trace(y).real)
+                    logb, k0 = math.log(t), k
             # While a rebase is due, the next check aims at its width.
             aim = BRACKET_RTOL
             if not near and _floored(ratio, BRACKET_RTOL):
                 aim = REBASE_RTOL
             due = k + _checks_apart(last, (k, width, ratio), aim)
             last = k, width, ratio
-        x, size = y / t, 1.0
+        x = y / t
     return None
 
 

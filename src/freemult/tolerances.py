@@ -89,7 +89,8 @@ RESIDUAL_FLOOR = 1e-10
 LEADING_GAP = 1e-12
 # An array this small relative to its scale has vanished: the trace of a
 # cone iterate's image against the iterate's own in ``pf_eigenpair`` (the
-# iterate is then an eigentuple for radius zero), a pulled-back form block
+# iterate is then an eigentuple for radius zero when the traces since the
+# start bound the radius by the tolerance too), a pulled-back form block
 # against the largest in ``decompose``.
 VANISH_RTOL = 1e-14
 # Floor of the tolerance on the compatibility defect that normalization may
