@@ -33,7 +33,9 @@ from .multfunc import MultiplicativeFunction, _evaluator, sample_then_refine
 from .subgroup import automaton_from_generators
 from .system import MatrixSystem, _assembled
 from .tolerances import COMPAT_TOL
-from .words import Alphabet, FiniteSubtree, Word, children, drop_last, last_letter
+from .words import (
+    Alphabet, FiniteSubtree, Word, _letter_table, children, drop_last, last_letter
+)
 from . import _kernel_py as _k
 
 INCLUDED = _k.INCLUDED
@@ -195,15 +197,6 @@ class GeneratorMap:
 
 def _positive_letters(al: Alphabet) -> list[str]:
     return [al._from_int[i] for i in range(1, al.rank + 1)]
-
-
-def _letter_table(al: Alphabet, images: Mapping[str, Word]) -> tuple:
-    """Kernel substitution table: slot ``i + rank`` holds the image data of
-    the letter numbered ``i`` (slot ``rank`` is unused)."""
-    m = al.rank
-    return tuple(
-        images[al._from_int[i]].data if i else () for i in range(-m, m + 1)
-    )
 
 
 def _nielsen_back_images(
@@ -454,7 +447,6 @@ def intertwine_changegen(
     f: MultiplicativeFunction,
     transported: MatrixSystem | None = None,
     depth: int | None = None,
-    depth_cap: int | None = None,
 ) -> MultiplicativeFunction:
     """Carry a multiplicative function over the source alphabet to one over
     the target alphabet, preserving norms and the translation action.
@@ -502,4 +494,4 @@ def intertwine_changegen(
             pos += d
         return vec
 
-    return sample_then_refine(transported, n_out, sample, f.depth, depth_cap)
+    return sample_then_refine(transported, n_out, sample, f.depth)

@@ -146,7 +146,7 @@ def _cmd_act(args) -> None:
     sysm = system_from_json(_load(args.system))
     f = function_from_json(sysm, _load(args.function))
     x = word_from_json(sysm.alphabet, args.word)
-    _dump(function_to_json(act(x, f, depth_cap=args.depth_cap)))
+    _dump(function_to_json(act(x, f)))
 
 
 def _cmd_norm(args) -> None:
@@ -161,7 +161,7 @@ def _cmd_coeff(args) -> None:
     f = function_from_json(sysm, _load(args.function))
     g = function_from_json(sysm, _load(args.other))
     x = word_from_json(sysm.alphabet, args.word)
-    value = inner_product(act(x, f, depth_cap=args.depth_cap), g)
+    value = inner_product(act(x, f), g)
     _dump({"value": [value.real, value.imag]})
 
 
@@ -226,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     p.add_argument("function")
     p.add_argument("word")
-    p.add_argument("--depth-cap", type=int, default=None, help="depth cap override")
 
     p = add("norm", _cmd_norm, "norm of a multiplicative function")
     p.add_argument("system")
@@ -237,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("function")
     p.add_argument("other")
     p.add_argument("word")
-    p.add_argument("--depth-cap", type=int, default=None, help="depth cap override")
 
     return parser
 

@@ -20,7 +20,13 @@ each digit the letter's index in the alphabet's file order, so ``code(h s)
 = code(h) (2r)^|s| + code(s)``, the suffix of length ``k`` is the code mod
 ``(2r)^k``, and numeric order on one sphere is shortlex order.  A depth
 whose codes would not fit in ``int64`` (``(2r)^N >= 2^63``) raises
-``ResourceLimitError`` before anything is allocated.
+``ResourceLimitError`` before anything is allocated.  So does a step whose
+size exceeds ``PROPAGATION_BUDGET`` complex entries: a propagation step's
+product, or a sphere that ``sample_then_refine`` would enumerate, counted
+as its words times the system's total dimension.  The size of a step, not
+the depth, is bounded, since the sphere of a given depth grows with the
+alphabet: a subgroup of index ``n`` in ``F_r`` has ``2 + 2n(r - 1)``
+letters.
 
 The public constructor checks every word and value it is given and packs
 them into arrays; refinement, translation and the transports hand their
@@ -52,8 +58,9 @@ from .system import MatrixSystem
 from .tolerances import FUNCTIONS_CLOSE_TOL
 from .words import Alphabet, FiniteSubtree, Word, last_letter, sphere
 
-# Refinement depths beyond this fail fast; spheres grow geometrically.
-DEPTH_CAP = 12
+# Complex entries one propagation step or sampled sphere may hold; a larger
+# one fails fast (2**24 entries are 256 MiB).
+PROPAGATION_BUDGET = 2**24
 
 _NO_CODES = np.zeros(0, dtype=np.int64)
 
@@ -67,14 +74,13 @@ def _check_codes(alphabet: Alphabet, depth: int) -> None:
         )
 
 
-def _check_depth(alphabet: Alphabet, depth: int, depth_cap: int | None) -> None:
-    cap = DEPTH_CAP if depth_cap is None else depth_cap
-    if depth > cap:
+def _check_budget(system: MatrixSystem, rows: int, what: str) -> None:
+    entries = rows * system.total_dim
+    if entries > PROPAGATION_BUDGET:
         raise ResourceLimitError(
-            f"requested depth {depth} exceeds the cap {cap}; "
-            f"the sphere has on the order of q**{depth} vertices"
+            f"{what} of {rows} words over total dimension {system.total_dim} "
+            f"needs {entries} entries, beyond the budget of {PROPAGATION_BUDGET}"
         )
-    _check_codes(alphabet, depth)
 
 
 def _encode(alphabet: Alphabet, data: tuple[int, ...]) -> int:
@@ -152,8 +158,8 @@ class MultiplicativeFunction:
         depth: int,
         values: Mapping[Word, np.ndarray],
     ):
-        if depth < 1:
-            raise InputError("depth must be at least one")
+        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
+            raise InputError(f"depth must be a positive integer, got {depth!r}")
         al, dims = system.alphabet, system.dims
         _check_codes(al, depth)
         checked = []
@@ -262,7 +268,11 @@ def _step(sysm: MatrixSystem, layer: dict, allowed=None) -> dict:
     ``allowed`` when given) as the word of code ``p * 2r + c``, its rows
     times ``H(c, t).T``: the columns of ``c`` in one product per ``t``
     with the column block of ``t``.  Zero rows are kept (their
-    descendants are zero too) for ``_store`` to drop."""
+    descendants are zero too) for ``_store`` to drop.  The products hold
+    the layer's rows times the total dimension entries, which bounds the
+    next layer too; over ``PROPAGATION_BUDGET`` that raises before any
+    product is built."""
+    _check_budget(sysm, sum(len(codes) for codes, _ in layer.values()), "step")
     al = sysm.alphabet
     letters, sl = al.letters, sysm._slices
     q = len(letters)
@@ -288,15 +298,18 @@ def _join(parts: dict) -> dict:
     }
 
 
-def refine(
-    f: MultiplicativeFunction, depth: int, depth_cap: int | None = None
-) -> MultiplicativeFunction:
-    """Re-express ``f`` at a larger depth by pushing values outward."""
+def refine(f: MultiplicativeFunction, depth: int) -> MultiplicativeFunction:
+    """Re-express ``f`` at a larger depth by pushing values outward.
+
+    Raises ``ResourceLimitError`` before any step when the codes of
+    ``depth`` overflow ``int64``, and at the first step whose product
+    exceeds ``PROPAGATION_BUDGET``, before it is built.
+    """
     if depth < f.depth:
         raise ValidationError("cannot refine to a smaller depth")
     if depth == f.depth:
         return f
-    _check_depth(f.alphabet, depth, depth_cap)
+    _check_codes(f.alphabet, depth)
     layer = f._groups
     for _ in range(depth - f.depth):
         layer = _step(f.system, layer)
@@ -308,7 +321,6 @@ def sample_then_refine(
     depth: int,
     sample,
     input_depth: int,
-    depth_cap: int | None = None,
 ) -> MultiplicativeFunction:
     """The depth-``depth`` function over ``system`` with value
     ``sample(w)`` at each word ``w``, for a ``sample`` that is
@@ -319,11 +331,15 @@ def sample_then_refine(
     smallest depth where every value is determined, and that function is
     refined over ``system``, which reproduces the samples at every deeper
     word.  Raises ``ValidationError`` when no depth up to ``depth`` is
-    determined.
+    determined.  Raises ``ResourceLimitError`` before any sampling when the
+    codes of ``depth`` overflow ``int64``, before enumerating a sphere
+    whose words times the total dimension exceed ``PROPAGATION_BUDGET``,
+    and as ``refine`` does.
     """
     al = system.alphabet
-    _check_depth(al, depth, depth_cap)
+    _check_codes(al, depth)
     for n in range(1, depth + 1):
+        _check_budget(system, al.size * (al.size - 1) ** (n - 1), f"sphere {n}")
         samples = []
         for w in sphere(al, n):
             v = sample(w)
@@ -332,7 +348,7 @@ def sample_then_refine(
             samples.append((w, v))
         else:
             f = MultiplicativeFunction._from_layer(system, n, _pack(al, samples))
-            return refine(f, depth, depth_cap)
+            return refine(f, depth)
     raise ValidationError(
         f"output depth {depth} is too small for input depth {input_depth}"
     )
@@ -421,9 +437,7 @@ def norm2(f: MultiplicativeFunction) -> float:
     return max(inner_product(f, f).real, 0.0)
 
 
-def act(
-    x: Word, f: MultiplicativeFunction, depth_cap: int | None = None
-) -> MultiplicativeFunction:
+def act(x: Word, f: MultiplicativeFunction) -> MultiplicativeFunction:
     """Left translation: the function ``z -> f(x^-1 z)`` at depth ``N + |x|``.
 
     Output-sensitive: for ``z = x w`` with exactly ``k`` letters of ``x``
@@ -434,6 +448,10 @@ def act(
     first ``|x| - k`` letters of ``x`` followed by the rest of ``w``.  The
     walk tracks the code of ``w`` without its first ``k`` letters (those
     of ``x^-1``), which stays below ``(2r)^(N + k)``.
+
+    Raises ``ResourceLimitError`` before any step when the codes of depth
+    ``N + |x|`` overflow ``int64``, and at the first step whose product
+    exceeds ``PROPAGATION_BUDGET``, before it is built.
     """
     if x.alphabet != f.alphabet:
         raise InputError("word over a different alphabet")
@@ -441,7 +459,7 @@ def act(
         return f
     n, m = f.depth, len(x)
     al = f.alphabet
-    _check_depth(al, n + m, depth_cap)
+    _check_codes(al, n + m)
     sysm = f.system
     q = al.size
     xi = x.inverse().data

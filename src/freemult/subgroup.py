@@ -15,11 +15,14 @@ subgroup-alphabet spelling of the subgroup part.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Iterable, Mapping, Sequence
 
 from . import _kernel_py as _k
 from .errors import InputError, InternalCheckError, ValidationError
-from .words import Alphabet, FiniteSubtree, Word, cone_contains, drop_last, last_letter
+from .words import (
+    Alphabet, FiniteSubtree, Word, _letter_table, cone_contains, drop_last, last_letter
+)
 
 
 class CosetAutomaton:
@@ -38,16 +41,18 @@ class CosetAutomaton:
         for s, p in transitions.items():
             if s not in alphabet:
                 raise InputError(f"unknown letter {s!r} in transitions")
+            if not isinstance(p, (list, tuple)) or not all(map(_is_int, p)):
+                raise InputError(f"transitions of {s!r} must be a list of integers")
             perms[s] = tuple(int(v) for v in p)
         lengths = {len(p) for p in perms.values()}
         if size is None:
             if len(lengths) != 1:
                 raise InputError("transition tables must share one length")
             size = lengths.pop()
-        elif lengths and lengths != {size}:
+        if not _is_int(size) or size < 1:
+            raise InputError(f"automaton size must be a positive integer, got {size!r}")
+        if lengths and lengths != {size}:
             raise InputError("transition tables must match the declared size")
-        if size < 1:
-            raise InputError("automaton needs at least one state")
         self.size = size
 
         delta: dict[str, tuple[int, ...]] = {}
@@ -100,6 +105,10 @@ class CosetAutomaton:
 
     def __repr__(self) -> str:
         return f"CosetAutomaton(index={self.size})"
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, Integral) and not isinstance(v, bool)
 
 
 def _inverse_perm(p: Sequence[int], size: int) -> tuple[int, ...]:
@@ -213,6 +222,7 @@ class FundamentalSubtree:
         "contact",
         "contact_letter",
         "_rep_set",
+        "_gamma_table",
     )
 
     def __init__(self, automaton: CosetAutomaton):
@@ -271,6 +281,7 @@ class FundamentalSubtree:
         self.subgroup_alphabet = Alphabet(symbols, inv_map)
         self.gamma_of = gamma_of
         self.symbol_of = {g: s for s, g in gamma_of.items()}
+        self._gamma_table = _letter_table(self.subgroup_alphabet, gamma_of)
 
         contact: dict[str, Word] = {}
         contact_letter: dict[str, str] = {}
@@ -305,11 +316,10 @@ class FundamentalSubtree:
         """Group word of a subgroup-alphabet word."""
         if w.alphabet != self.subgroup_alphabet:
             raise InputError("word over a different subgroup alphabet")
-        al = self.automaton.alphabet
-        out = al.identity
-        for sym in w.letters():
-            out = out * self.gamma_of[sym]
-        return out
+        return Word(
+            self.automaton.alphabet,
+            _k.apply_morphism(w.data, self._gamma_table, w.alphabet.rank),
+        )
 
     def __repr__(self) -> str:
         return (
@@ -373,9 +383,7 @@ def decompose_left(fs: FundamentalSubtree, x: Word) -> tuple[Word, Word, Word]:
         state = nxt
     if r or state != 0:
         raise InternalCheckError("subgroup element did not return to the base")
-    back = ()
-    for sym in syms:
-        back = _k.multiply(back, fs.gamma_of[sym].data)
-    if back != gamma:
+    spelling = fs.subgroup_alphabet.word(syms)
+    if fs.expand(spelling).data != gamma:
         raise InternalCheckError("spelling does not evaluate back to the element")
-    return fs.subgroup_alphabet.word(syms), Word(al, gamma), u
+    return spelling, Word(al, gamma), u

@@ -149,7 +149,7 @@ class MatrixSystem:
         if set(dims) != set(alphabet.letters):
             raise InputError("dims must assign every letter a dimension")
         for a, d in dims.items():
-            if not isinstance(d, int) or d < 0:
+            if not isinstance(d, int) or isinstance(d, bool) or d < 0:
                 raise InputError(f"dims[{a!r}] must be a nonnegative integer")
         sl = _layout(alphabet, dims)
         n = sum(dims.values())

@@ -57,7 +57,6 @@ def restrict_function(
     f: MultiplicativeFunction,
     restricted: MatrixSystem | None = None,
     depth: int | None = None,
-    depth_cap: int | None = None,
 ) -> MultiplicativeFunction:
     """Carry an ambient multiplicative function to the subgroup alphabet.
 
@@ -86,7 +85,7 @@ def restrict_function(
             )
         return value(s.data)
 
-    return sample_then_refine(restricted, n_out, sample, f.depth, depth_cap)
+    return sample_then_refine(restricted, n_out, sample, f.depth)
 
 
 def coset_pairs(fs: FundamentalSubtree, a: str) -> list[tuple[Word, str]]:
@@ -156,7 +155,6 @@ def induce_function(
     family: Mapping[Word, MultiplicativeFunction],
     induced: MatrixSystem | None = None,
     depth: int | None = None,
-    depth_cap: int | None = None,
 ) -> MultiplicativeFunction:
     """Assemble an ambient multiplicative function from one subgroup
     function per domain vertex.
@@ -216,7 +214,7 @@ def induce_function(
             pos += d
         return vec
 
-    return sample_then_refine(induced, n_out, sample, n_max, depth_cap)
+    return sample_then_refine(induced, n_out, sample, n_max)
 
 
 def truncation_subtree(

@@ -308,6 +308,16 @@ def children(x: Word) -> Iterator[Word]:
             yield Word(al, x.data + (s,))
 
 
+def _letter_table(al: Alphabet, images: Mapping[str, Word]) -> tuple:
+    """Kernel substitution table of ``apply_morphism``: slot ``i + rank``
+    holds the image data of the letter numbered ``i`` (slot ``rank`` is
+    unused)."""
+    m = al.rank
+    return tuple(
+        images[al._from_int[i]].data if i else () for i in range(-m, m + 1)
+    )
+
+
 def sphere(alphabet: Alphabet, radius: int) -> list[Word]:
     """All words of the given length, in shortlex order.
 

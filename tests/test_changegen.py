@@ -284,13 +284,11 @@ def test_intertwiner_equivariance(ab_map):
         y = AB.word(spec)
         moved = act(gm.spell(y), f)
         depth_l = moved.depth * gm.stretch_to_target
-        lhs = intertwine_changegen(
-            gm, sys0, moved, transported=out, depth=depth_l, depth_cap=16
-        )
+        lhs = intertwine_changegen(gm, sys0, moved, transported=out, depth=depth_l)
         rhs = act(
             y,
             intertwine_changegen(
-                gm, sys0, f, transported=out, depth=depth_l - len(y), depth_cap=16
+                gm, sys0, f, transported=out, depth=depth_l - len(y)
             ),
         )
         assert lhs.depth == rhs.depth

@@ -17,6 +17,7 @@ from freemult import (
     tolerances,
     transport_system,
 )
+from freemult import multfunc
 from freemult.cli import build_parser, main
 from freemult.jsonio import system_from_json, system_to_json
 from freemult.system import compatibility_defect, direct_sum
@@ -208,13 +209,57 @@ def test_exit_code_validation_failure(capsys, tmp_path, spherical):
     assert "error:" in err
 
 
-def test_exit_code_depth_cap(capsys, tmp_path, spherical_path):
+def test_exit_code_propagation_budget(capsys, monkeypatch, tmp_path, spherical_path):
+    # The budget admits the first step of the translation (one word over
+    # total dimension 4) but not the second (three words): the subcommand
+    # fails as a resource limit after one step, before the second is built.
     f_path = tmp_path / "f.json"
     f_path.write_text(
         json.dumps({"depth": 1, "values": {"a": [1.0], "b": [0.0], "A": [0.0], "B": [0.0]}})
     )
-    code, _, err = run(capsys, "act", spherical_path, str(f_path), "ab", "--depth-cap", "2")
+    monkeypatch.setattr(multfunc, "PROPAGATION_BUDGET", 4)
+    steps = []
+    join = multfunc._join
+
+    def recorded(parts):
+        steps.append(parts)
+        return join(parts)
+
+    monkeypatch.setattr(multfunc, "_join", recorded)
+    code, _, err = run(capsys, "act", spherical_path, str(f_path), "A")
     assert code == 1
+    assert "step of 3 words over total dimension 4 needs 12 entries" in err
+    assert len(steps) == 1
+
+
+def test_exit_code_malformed_depth_and_dims(capsys, tmp_path, spherical_path):
+    # a depth that is not a positive integer is malformed input, not a
+    # traceback or a mismatch against the support words' length
+    f_path = tmp_path / "f.json"
+    for depth in ("2", 2.5, True, 0):
+        f_path.write_text(json.dumps({"depth": depth, "values": {"ab": [1.0]}}))
+        code, _, err = run(capsys, "norm", spherical_path, str(f_path))
+        assert code == 3, depth
+        assert "depth must be a positive integer" in err, depth
+    bad = system_to_json(make_spherical())
+    bad["dims"]["a"] = True
+    path = tmp_path / "bool_dims.json"
+    path.write_text(json.dumps(bad))
+    code, _, err = run(capsys, "check", str(path))
+    assert code == 3
+    assert "dims['a']" in err
+
+
+def test_exit_code_malformed_transitions(capsys, tmp_path):
+    path = tmp_path / "sub.json"
+    for spec in (
+        {"transitions": {"a": [1.7, 0.2], "b": [0, 1]}},
+        {"transitions": {"a": [1, 0], "b": [0, 1]}, "size": "2"},
+    ):
+        path.write_text(json.dumps({"alphabet": "aAbB", **spec}))
+        code, _, err = run(capsys, "schreier", str(path))
+        assert code == 3, spec
+        assert "integer" in err, spec
 
 
 def test_exit_code_degenerate_system(capsys, tmp_path):

@@ -5,6 +5,8 @@ along the word with a plain loop over symbols, bypassing the sparse
 refinement machinery.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,9 +29,11 @@ from freemult import (
     refine,
     shadow,
 )
+from freemult import multfunc
+from freemult.multfunc import sample_then_refine
 from freemult.words import ball, sphere
 
-from .conftest import AB, make_spherical, random_compatible
+from .conftest import AB, _pairs, make_spherical, random_compatible
 
 
 def eval_oracle(sys, depth, values, y):
@@ -239,15 +243,46 @@ def test_same_system_skips_the_numeric_comparison(rng, monkeypatch):
     assert functions_close(f, refine(f, 3))
 
 
-def test_depth_cap_enforced(spherical):
-    f = shadow(spherical, AB.word("a"), [1.0])
+def budget_system():
+    """Rank three, every space of dimension 3 (total dimension 18): the
+    sphere at depth n has 6 * 5**(n-1) words."""
+    al = Alphabet("aAbBcC")
+    H = {(b, a): np.eye(3) / 5 for b, a in _pairs(al)}
+    forms = {a: np.eye(3) for a in al.letters}
+    return MatrixSystem(al, {a: 3 for a in al.letters}, H, forms)
+
+
+def test_propagation_budget_enforced(monkeypatch):
+    """A step over the budget raises before its product is built, and a
+    sphere over it before it is enumerated."""
+    sysm = budget_system()
+    f = shadow(sysm, sysm.alphabet.word("a"), np.ones(3))
+    # the step from depth k has 5**(k-1) words, a product of 18 * 5**(k-1)
+    monkeypatch.setattr(multfunc, "PROPAGATION_BUDGET", 18 * 5**4)
+    assert len(refine(f, 6).values) == 5**5
+    refused = 16 * 18 * 5**5  # bytes of the step from depth 6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="step of 3125 words"):
+            refine(f, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < refused
     with pytest.raises(ResourceLimitError):
-        refine(f, 13)
-    with pytest.raises(ResourceLimitError):
-        refine(f, 4, depth_cap=3)
-    long_word = AB.word("ab" * 7)
-    with pytest.raises(ResourceLimitError):
-        act(long_word, f)
+        act(sysm.alphabet.word("A" * 6), f)
+
+    radii = []
+
+    def recorded(al, n):
+        radii.append(n)
+        return sphere(al, n)
+
+    monkeypatch.setattr(multfunc, "sphere", recorded)
+    monkeypatch.setattr(multfunc, "PROPAGATION_BUDGET", 18 * 30)
+    with pytest.raises(ResourceLimitError, match="sphere 3 of 150 words"):
+        sample_then_refine(sysm, 5, lambda w: None, 5)
+    assert radii == [1, 2]
 
 
 def test_norm_via_subtree_agrees(rng):

@@ -303,6 +303,30 @@ def test_transient_image_vanishing_is_no_zero_radius(radius):
     assert_eigenpair(sys0, rho, forms)
 
 
+@pytest.mark.parametrize("d", [3, 8, 9, 12])
+def test_conjugated_jordan_block_raises_or_certifies_zero(d):
+    # One letter with H = S J S^-1, J the nilpotent Jordan block of size d,
+    # so rho = 0.  S amplifies the rounding of the cone iterates, and eig
+    # scatters the zero eigenvalue of the stored matrix into radii of about
+    # 1e-4 to 1e-1: an answer must be a certified zero, never such a radius.
+    J = np.eye(d, k=1)
+    S = np.random.default_rng(d).standard_normal((d, d))
+    dims = {"a": d, "A": 0, "b": 0, "B": 0}
+    forms = {a: np.eye(n) for a, n in dims.items()}
+    exact = MatrixSystem(AB, dims, {("a", "a"): J}, forms)
+    rho, eig = pf_eigenpair(exact)
+    assert rho == 0.0
+    assert_eigenpair(exact, rho, eig)
+    sys0 = MatrixSystem(AB, dims, {("a", "a"): S @ J @ np.linalg.inv(S)}, forms)
+    try:
+        rho, eig = pf_eigenpair(sys0)
+    except NumericError:
+        return
+    assert rho <= tolerances.PF_TOL
+    out = apply_transfer(sys0, eig)
+    assert np.linalg.norm(out["a"] - rho * eig["a"]) <= 1e-8
+
+
 def test_fallback_on_singular_eigentuple(monkeypatch):
     sys0 = singular_eigentuple_system()
     dense = CountDense(monkeypatch)

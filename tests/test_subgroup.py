@@ -42,6 +42,24 @@ def test_automaton_validation():
     assert aut.contains(AB.word("aa")) and not aut.contains(AB.word("a"))
 
 
+def test_automaton_rejects_non_integer_tables():
+    # int() would truncate the floats to (1, 0) and read the string as (0, 1)
+    for bad in (
+        {"a": [1.7, 0.2], "b": [0, 1]},
+        {"a": [1, 0], "b": "01"},
+        {"a": [True, False], "b": [0, 1]},
+        {"a": {1: 0}, "b": [0, 1]},
+    ):
+        with pytest.raises(InputError, match="list of integers"):
+            CosetAutomaton(AB, bad)
+    for size in ("2", 2.0, True):
+        with pytest.raises(InputError, match="positive integer"):
+            CosetAutomaton(AB, {"a": [1, 0], "b": [0, 1]}, size=size)
+    # integer types other than int, and tuples, are integer tables
+    aut = CosetAutomaton(AB, {"a": (1, 0), "b": list(np.array([0, 1]))}, size=2)
+    assert aut.step(0, "a") == 1 and aut.step(1, "b") == 1
+
+
 def test_fold_from_generators(index2_automaton):
     aut = index2_automaton
     assert aut.index == 2
