@@ -34,17 +34,18 @@ arrays to a private constructor that validates each array once.
 ``values`` is a read-only ``Word``-keyed view of the same data, decoded on
 first use (its length needs no decoding); no operation here reads it.
 
-Propagation is batched: one depth step costs one matrix product per last
-letter, with its column block of the system's block matrix; a child's code
-is its parent's times ``2r`` plus the new digit, and zero rows ride along
-until the layer is stored.  A function carried to another system (by a
-change of generators, a restriction or an induction) is multiplicative
-over that system, so ``sample_then_refine`` samples it on the smallest
-sphere the input determines and propagates from there.  Evaluation past
-the depth, by ``evaluate``, ``norm_via_subtree`` and those samplers,
-carries each prefix once per call: a stored prefix is found by binary
-search and the value at every longer prefix is kept for the rest of the
-call.
+Propagation is batched: one depth step fills one product array, a row
+block per last letter times that letter's column block of the system's
+block matrix, and reads the children at each next digit off it as runs of
+adjacent row blocks; a child's code is its parent's times ``2r`` plus the
+new digit, and zero rows ride along until the layer is stored.  A
+function carried to another system (by a change of generators, a
+restriction or an induction) is multiplicative over that system, so
+``sample_then_refine`` samples it on the smallest sphere the input
+determines and propagates from there.  Evaluation past the depth, by
+``evaluate``, ``norm_via_subtree`` and those samplers, carries each prefix
+once per call: a stored prefix is found by binary search and the value at
+every longer prefix is kept for the rest of the call.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ class MultiplicativeFunction:
             if not len(codes):
                 continue
             order = np.argsort(codes)
-            codes, V = codes[order], V[order]
+            codes, V = codes.take(order), V.take(order, axis=0)
             if (
                 codes[0] < 0
                 or codes[-1] >= top
@@ -266,28 +267,47 @@ def _step(sysm: MatrixSystem, layer: dict, allowed=None) -> dict:
     """Push a layer one letter outward: each word (code ``p``, last digit
     ``t``) gains every admissible next digit ``c`` (only those in
     ``allowed`` when given) as the word of code ``p * 2r + c``, its rows
-    times ``H(c, t).T``: the columns of ``c`` in one product per ``t``
-    with the column block of ``t``.  Zero rows are kept (their
-    descendants are zero too) for ``_store`` to drop.  The products hold
-    the layer's rows times the total dimension entries, which bounds the
-    next layer too; over ``PROPAGATION_BUDGET`` that raises before any
-    product is built."""
-    _check_budget(sysm, sum(len(codes) for codes, _ in layer.values()), "step")
-    al = sysm.alphabet
-    letters, sl = al.letters, sysm._slices
+    times ``H(c, t).T``.
+
+    The step fills one product array ``W``, a row block per group ``t``:
+    its rows times the column block of ``t``.  The children at ``c`` are
+    the columns of ``c`` in the blocks of the groups ``t`` with ``(c, t)``
+    stored, read off as runs of adjacent blocks, one concatenation per
+    digit.  Zero rows are kept (their descendants are zero too) for
+    ``_store`` to drop.  ``W`` holds the layer's rows times the total
+    dimension entries, which bounds the next layer too; over
+    ``PROPAGATION_BUDGET`` that raises before ``W`` is allocated."""
+    rows = sum(len(codes) for codes, _ in layer.values())
+    _check_budget(sysm, rows, "step")
+    letters, sl = sysm.alphabet.letters, sysm._slices
     q = len(letters)
-    nxt = range(q) if allowed is None else allowed
-    stored = sysm.stored_pairs()
-    grown: dict[int, list] = {}
+    W = np.empty((rows, sysm.total_dim), dtype=complex)
+    heads = np.empty(rows, dtype=np.int64)
+    blocks, lo = [], 0
     for t, (codes, V) in layer.items():
-        a = letters[t]
-        head = codes * q
-        W = V @ sysm._H[:, sl[a]].T
-        for c in nxt:
-            b = letters[c]
-            if (b, a) in stored:
-                grown.setdefault(c, []).append((head + c, W[:, sl[b]]))
-    return _join(grown)
+        hi = lo + len(codes)
+        np.multiply(codes, q, out=heads[lo:hi])
+        np.matmul(V, sysm._H[:, sl[letters[t]]].T, out=W[lo:hi])
+        blocks.append((letters[t], lo, hi))
+        lo = hi
+    stored = sysm.stored_pairs()
+    out = {}
+    for c in range(q) if allowed is None else allowed:
+        b = letters[c]
+        runs: list[list[int]] = []
+        for a, lo, hi in blocks:
+            if (b, a) not in stored:
+                continue
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] = hi
+            else:
+                runs.append([lo, hi])
+        if runs:
+            out[c] = (
+                np.concatenate([heads[lo:hi] for lo, hi in runs]) + c,
+                np.concatenate([W[lo:hi, sl[b]] for lo, hi in runs]),
+            )
+    return out
 
 
 def _join(parts: dict) -> dict:

@@ -219,13 +219,14 @@ def test_exit_code_propagation_budget(capsys, monkeypatch, tmp_path, spherical_p
     )
     monkeypatch.setattr(multfunc, "PROPAGATION_BUDGET", 4)
     steps = []
-    join = multfunc._join
+    step = multfunc._step
 
-    def recorded(parts):
-        steps.append(parts)
-        return join(parts)
+    def recorded(*args):
+        out = step(*args)
+        steps.append(out)
+        return out
 
-    monkeypatch.setattr(multfunc, "_join", recorded)
+    monkeypatch.setattr(multfunc, "_step", recorded)
     code, _, err = run(capsys, "act", spherical_path, str(f_path), "A")
     assert code == 1
     assert "step of 3 words over total dimension 4 needs 12 entries" in err

@@ -12,6 +12,11 @@ Propagation keeps zero rows and only storing drops them, while the
 reference drops them after every step.  The kernel cases pin that move:
 small-integer rank-deficient transfers, values in their kernels and a
 nilpotent pair make exact zero children on both routes.
+
+A propagation step reads each digit's children off one product array, as
+runs of adjacent parent groups.  The product-run cases pin that read: zero
+blocks split a digit's parents into several runs or leave a digit with
+none, and ``act`` takes its single-digit and all-but-one steps over them.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from freemult import (
     schreier_subtree,
     shadow,
 )
+from freemult import multfunc
 from freemult.multfunc import _decode, _encode, sample_then_refine
 from freemult.words import Word, last_letter, sphere
 
@@ -331,6 +337,66 @@ def test_kernel_cases_match_reference_steps(al, seed, depth, extra, length, spar
     words = sphere(al, length)
     x = words[int(rng.integers(len(words)))]
     assert_same(act(x, f), reference_act(x, f))
+
+
+def gaussian_system(rng, al, dims, zero):
+    """Gaussian transfers with zero blocks at the pairs in ``zero``, and
+    identity forms."""
+    H = {}
+    for b, a in _pairs(al):
+        if (b, a) not in zero:
+            shape = (dims[b], dims[a])
+            H[(b, a)] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return MatrixSystem(al, dims, H, {a: np.eye(dims[a]) for a in al.letters})
+
+
+# From the second step of a refinement on, a layer's groups come in
+# alphabet order.  "split": over aAbBcC the parents of digit a are a, b, c
+# and C (three runs), those of c are a, A, B and c (two runs).  "unfed":
+# nothing maps into b, so digit b has no parent group.
+RUN_CASES = {
+    "split": (ABC, dict(zip("aAbBcC", (2, 1, 2, 2, 1, 2))), {("a", "B"), ("c", "b")}),
+    "unfed": (AB, dict(zip("aAbB", (2, 1, 2, 1))), {("b", x) for x in "aAb"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_product_runs_match_reference(case, monkeypatch):
+    """``refine`` and ``act`` against the reference where zero blocks
+    between letters of nonzero dimension split or empty a digit's parent
+    groups, through ``act``'s single-digit and all-but-one steps too."""
+    al, dims, zero = RUN_CASES[case]
+    rng = np.random.default_rng(20)
+    sys0 = gaussian_system(rng, al, dims, zero)
+    stored = sys0.stored_pairs()
+    assert zero.isdisjoint(stored)
+    cap = KERNEL_DEPTH[al]
+    allowed = []
+    step = multfunc._step
+
+    def recorded(sysm, layer, allowed_digits=None):
+        allowed.append(None if allowed_digits is None else len(allowed_digits))
+        out = step(sysm, layer, allowed_digits)
+        # exactly the parents with a stored block into c: a bridged gap
+        # would add zero rows that storing hides
+        letters = al.letters
+        for c, (codes, _) in out.items():
+            fed = [t for t in layer if (letters[c], letters[t]) in stored]
+            assert len(codes) == sum(len(layer[t][0]) for t in fed)
+        return out
+
+    monkeypatch.setattr(multfunc, "_step", recorded)
+    for depth in (1, 2):
+        f = random_function(rng, sys0, depth, sparse=False)
+        g = refine(f, cap)
+        assert_same(g, reference_refine(f, cap))
+        if case == "unfed":
+            assert al.letters.index("b") not in g._groups
+        for length in range(1, (cap - depth) // 2 + 1):
+            words = sphere(al, length)
+            for i in rng.choice(len(words), size=3, replace=False):
+                assert_same(act(words[i], f), reference_act(words[i], f))
+    assert {1, al.size - 1} <= set(allowed)
 
 
 def test_nilpotent_pair_leaves_no_zero_rows():
