@@ -142,7 +142,7 @@ class GeneratorMap:
         self._img_table = _letter_table(source, full)
         self._back_table = _letter_table(target, back)
         self._classify_memo: dict[tuple, int] = {}
-        self._frontier_memo: dict[str, YFrontier] = {}
+        self._frontier_memo: dict[tuple[int, ...], YFrontier] = {}
 
         for a in target.letters:
             if self.expand(self.spell(target.word([a]))) != target.word([a]):
@@ -286,17 +286,16 @@ def cone_included(gm: GeneratorMap, y: Word, z: Word) -> bool:
 class YFrontier:
     """The minimal source vertices whose cones embed into a target cone.
 
-    ``members`` are in shortlex order.  A member is *settled* when its cone
-    already embeds into a deeper cone ``C(z b)`` for some letter ``b``;
-    unsettled members are the roots of pruned subtrees.
+    ``members`` are in shortlex order.  Whether a member's cone already
+    embeds into a deeper cone ``C(z b)`` is read off its pruned subtree:
+    see :func:`pruned_subtree`.
     """
 
-    __slots__ = ("z", "members", "settled")
+    __slots__ = ("z", "members")
 
-    def __init__(self, z: Word, members: tuple[Word, ...], settled: dict[Word, bool]):
+    def __init__(self, z: Word, members: tuple[Word, ...]):
         self.z = z
         self.members = members
-        self.settled = settled
 
     def __iter__(self):
         return iter(self.members)
@@ -309,7 +308,8 @@ class YFrontier:
 
 
 def compute_Y(gm: GeneratorMap, z: Word) -> YFrontier:
-    """Frontier of the target cone at ``z`` in the source tree.
+    """Frontier of the target cone at ``z`` in the source tree, searched
+    once per map and target vertex.
 
     Breadth-first from the root's children: included vertices are members,
     disjoint ones are dropped, mixed ones are expanded.  No vertex is
@@ -320,6 +320,9 @@ def compute_Y(gm: GeneratorMap, z: Word) -> YFrontier:
         raise InputError("frontier needs a target-alphabet vertex")
     if len(z) == 0:
         raise ValidationError("frontiers are rooted at nontrivial vertices")
+    front = gm._frontier_memo.get(z.data)
+    if front is not None:
+        return front
     bound = source_depth_bound(gm, z)
     members: list[Word] = []
     queue: list[Word] = list(children(gm.source.identity))
@@ -335,22 +338,7 @@ def compute_Y(gm: GeneratorMap, z: Word) -> YFrontier:
         elif res == MIXED:
             queue.extend(children(y))
     members.sort(key=Word.sort_key)
-    settled = {}
-    deeper = [
-        z * gm.target.word([b])
-        for b in gm.target.letters
-        if b != gm.target.inverse(last_letter(z))
-    ]
-    for y in members:
-        settled[y] = any(gm.classify(y, zb) == INCLUDED for zb in deeper)
-    return YFrontier(z, tuple(members), settled)
-
-
-def _letter_frontier(gm: GeneratorMap, a: str) -> YFrontier:
-    """:func:`compute_Y` at the target letter ``a``, searched once per map."""
-    front = gm._frontier_memo.get(a)
-    if front is None:
-        front = gm._frontier_memo[a] = compute_Y(gm, gm.target.word([a]))
+    front = gm._frontier_memo[z.data] = YFrontier(z, tuple(members))
     return front
 
 
@@ -360,15 +348,14 @@ def pruned_subtree(gm: GeneratorMap, w: Word, a: str) -> FiniteSubtree:
 
     Vertices: the parent of ``w``, then all descendants of ``w`` up to and
     including the first ones whose cones embed into some deeper cone
-    ``C(a b)``.
+    ``C(a b)``.  A member is *settled* when its own cone already embeds
+    into one: its pruned subtree is just the member and its parent.
     """
     if a not in gm.target:
         raise InputError(f"unknown target letter {a!r}")
     za = gm.target.word([a])
-    if gm.classify(w, za) != INCLUDED:
+    if w not in compute_Y(gm, za).members:
         raise ValidationError(f"{w} is not a frontier member of {a!r}")
-    if len(w) > 1 and gm.classify(drop_last(w), za) == INCLUDED:
-        raise ValidationError(f"{w} is not minimal over {a!r}")
     deeper = [
         za * gm.target.word([b])
         for b in gm.target.letters
@@ -405,13 +392,8 @@ def _frontier_projection(
     s = gm.spell(g)
     for k in range(1, len(s) + 1):
         p = s.prefix(k)
-        if gm.classify(p, front.z) == INCLUDED:
-            if p not in front.settled:
-                raise InternalCheckError(
-                    f"projection of {g} hit {p}, which is not a frontier member"
-                )
-            suffix = Word(gm.source, s.data[k:])
-            return p, suffix
+        if p in front.members:
+            return p, Word(gm.source, s.data[k:])
     raise InternalCheckError(f"no frontier prefix found for {g}")
 
 
@@ -430,7 +412,7 @@ def transport_system(
     if sys.alphabet != gm.source:
         raise InputError("transport needs a system over the source alphabet")
     al = gm.target
-    fronts = {a: _letter_frontier(gm, a) for a in al.letters}
+    fronts = {a: compute_Y(gm, al.word([a])) for a in al.letters}
     members = {a: [(y, last_letter(y)) for y in fronts[a].members] for a in al.letters}
 
     def step(a: str, b: str, zrow: Word) -> tuple[Word, tuple[int, ...]]:
@@ -467,7 +449,7 @@ def intertwine_changegen(
     al = gm.target
     n_out = depth if depth is not None else max(2, f.depth * gm.stretch_to_target)
     blocks = {
-        a: [(sys.dims[last_letter(y)], y.data) for y in _letter_frontier(gm, a).members]
+        a: [(sys.dims[last_letter(y)], y.data) for y in compute_Y(gm, al.word([a]))]
         for a in al.letters
     }
     back, rank = gm._back_table, al.rank
@@ -490,6 +472,11 @@ def intertwine_changegen(
             s = _k.multiply(head, y)
             if len(s) < f.depth:
                 return None
+            if s[-1] != y[-1]:
+                raise InternalCheckError(
+                    f"sample for {xa} ends at {gm.source._from_int[s[-1]]!r}, "
+                    f"not at the block's letter {gm.source._from_int[y[-1]]!r}"
+                )
             vec[pos : pos + d] = value(s)
             pos += d
         return vec

@@ -117,7 +117,9 @@ def induce_system(
     The space at an ambient letter is the direct sum of subgroup spaces
     over its coset pairs.  A transfer block either copies a pair whose
     domain vertex absorbs the step, or applies the subgroup transfer
-    named by the Schreier generator the step emits.
+    named by the Schreier generator the step emits: when ``w = v a^-1``
+    leaves the domain, that generator is ``w u^-1``, with ``u`` the
+    domain vertex of ``w``'s coset.
     """
     sub = fs.subgroup_alphabet
     if subsys.alphabet != sub:
@@ -130,12 +132,11 @@ def induce_system(
         w = v * al.word([a]).inverse()
         if fs.in_domain(w):
             return (w, drow), ()
-        sp, gamma, u = decompose_left(fs, w)
-        if len(sp) != 1:
-            raise InternalCheckError(f"step {v} -> {w} emitted {len(sp)} generators")
-        c = sub.inverse(last_letter(sp))
-        if gamma != fs.gamma_of[c].inverse():
-            raise InternalCheckError("emitted generator does not match its symbol")
+        u = fs.reps[fs.state_of(w)]
+        emitted = fs.symbol_of.get(w * u.inverse())
+        if emitted is None:
+            raise InternalCheckError(f"step {v} -> {w} emitted no Schreier generator")
+        c = sub.inverse(emitted)
         if c == sub.inverse(drow):
             raise InternalCheckError("emitted generator inverts the row letter")
         return (u, c), (sub._to_int[drow],)
@@ -240,13 +241,14 @@ def truncation_subtree(
 
     interior = {_tile_word(fs, member * w) for w in ball(al.identity, depth)}
 
+    pairs = {a: coset_pairs(fs, a) for a in al.letters}
     terminals = set()
     for x in sphere(al, depth):
         banned = al.inverse(last_letter(x))
         for a in al.letters:
             if a == banned:
                 continue
-            for u, c in coset_pairs(fs, a):
+            for u, c in pairs[a]:
                 lam = member * x * u.inverse()
                 if fs.state_of(lam) != 0:
                     continue

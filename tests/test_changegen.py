@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from freemult import (
     GeneratorMap,
+    InternalCheckError,
     MatrixSystem,
     ValidationError,
     compatibility_defect,
@@ -29,7 +30,7 @@ from freemult import (
 )
 from freemult.changegen import _frontier_projection, cone_included
 from freemult.multfunc import MultiplicativeFunction, functions_close
-from freemult.words import last_letter, sphere
+from freemult.words import _letter_table, drop_last, last_letter, sphere
 
 from .conftest import AB, make_spherical, random_compatible
 
@@ -83,10 +84,11 @@ def test_frontier_worked_example(ab_map):
         "A": ["AA", "AB"],
         "B": ["B"],
     }
-    # the deeper-cone tags: a member is settled when its image cone
-    # already lies in a one-step-deeper target cone
+    # a member is settled when its image cone already lies in a
+    # one-step-deeper target cone: its pruned subtree is itself and its
+    # parent
     settled = {
-        c: {str(y): fronts[c].settled[y] for y in fronts[c].members}
+        c: {str(y): len(pruned_subtree(gm, y, c)) == 2 for y in fronts[c].members}
         for c in AB.letters
     }
     assert settled["a"] == {"a": False, "b": True}
@@ -230,11 +232,22 @@ def test_pruned_subtrees_are_complete(ab_map):
     for c in AB.letters:
         front = compute_Y(gm, AB.word(c))
         for y in front.members:
-            if front.settled[y]:
-                continue
             tree = pruned_subtree(gm, y, c)
             assert tree.is_complete
-            assert y in tree
+            assert y in tree and drop_last(y) in tree
+
+
+def test_pruned_subtree_rejects_non_members(ab_map):
+    gm = ab_map
+    # the source cones at A, Ab and B are disjoint from the target cone at a
+    for spec in ("A", "Ab", "B"):
+        with pytest.raises(ValidationError, match="not a frontier member"):
+            pruned_subtree(gm, AB.word(spec), "a")
+    # ab and ba lie in the cone of a but below its members a and b
+    for spec in ("ab", "ba", "aab"):
+        assert cone_included(gm, AB.word(spec), AB.word("a"))
+        with pytest.raises(ValidationError, match="not a frontier member"):
+            pruned_subtree(gm, AB.word(spec), "a")
 
 
 def test_transported_random_systems_stay_compatible(rng):
@@ -271,6 +284,22 @@ def test_intertwiner_preserves_norms(ab_map, rng):
         assert norm2(ug) == pytest.approx(norm2(g), rel=1e-8)
 
 
+def test_intertwiner_checks_the_end_letter_of_each_sample(ab_map):
+    # A wrong inverse substitution (b -> AbaB instead of Ab) spells target
+    # prefixes to the wrong source words; the samples then end at letters
+    # other than their blocks' and must not be read as values.
+    sys0 = make_spherical(0.0)
+    out = transport_system(ab_map, sys0)
+    f = shadow(sys0, AB.word("ab"), [1.0])
+    assert intertwine_changegen(ab_map, sys0, f, transported=out).depth == 4
+    bad = AB.word("AbaB")
+    ab_map._back_table = _letter_table(
+        AB, {**ab_map.back_images, "b": bad, "B": bad.inverse()}
+    )
+    with pytest.raises(InternalCheckError, match="sample for aba ends at"):
+        intertwine_changegen(ab_map, sys0, f, transported=out)
+
+
 def test_intertwiner_equivariance(ab_map):
     """Translating by a target letter before or after carrying over agrees
     wherever both sides are defined."""
@@ -297,14 +326,15 @@ def test_intertwiner_equivariance(ab_map):
 
 def test_frontiers_are_searched_once_per_map(monkeypatch):
     changegen = importlib.import_module("freemult.changegen")
+    # every search, and nothing else in these calls, asks for its bound
     searched = []
-    inner = changegen.compute_Y
+    inner = changegen.source_depth_bound
 
     def counted(gm, z):
         searched.append(str(z))
         return inner(gm, z)
 
-    monkeypatch.setattr(changegen, "compute_Y", counted)
+    monkeypatch.setattr(changegen, "source_depth_bound", counted)
     gm = GeneratorMap(AB, AB, {"a": "a", "b": "ab"})
     sys0 = make_spherical(0.0)
     out = transport_system(gm, sys0)
@@ -312,6 +342,9 @@ def test_frontiers_are_searched_once_per_map(monkeypatch):
     first = intertwine_changegen(gm, sys0, f, transported=out)
     again = intertwine_changegen(gm, sys0, f, transported=out)
     assert functions_close(first, again, tol=0.0)
+    assert sorted(searched) == sorted(AB.letters)
+    for c in AB.letters:
+        assert changegen.compute_Y(gm, AB.word(c)) is changegen.compute_Y(gm, AB.word(c))
     assert sorted(searched) == sorted(AB.letters)
 
 

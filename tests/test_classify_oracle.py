@@ -18,7 +18,7 @@ from freemult._kernel_py import (
     invert,
     multiply,
 )
-from freemult.words import Word, sphere
+from freemult.words import Word, last_letter, sphere
 
 from .conftest import AB
 from .test_changegen import random_nielsen_map
@@ -56,15 +56,21 @@ def depth_limited_classify(gm: GeneratorMap, y: Word, z: Word) -> int:
 
 
 def memoized_keys(gm: GeneratorMap, radius: int) -> list[tuple[Word, Word, int]]:
-    """Run every frontier and pruned-subtree computation for target cones
-    of length up to ``radius`` and return the verdicts ``classify`` memoized."""
+    """Run every frontier computation for target cones of length up to
+    ``radius``, classify each member against the one-step-deeper cones (the
+    question that decides whether it is settled), build the pruned
+    subtrees of the one-letter frontiers, and return the verdicts
+    ``classify`` memoized."""
     for n in range(1, radius + 1):
         for z in sphere(AB, n):
             front = compute_Y(gm, z)
+            for b in AB.letters:
+                if b != AB.inverse(last_letter(z)):
+                    for y in front.members:
+                        gm.classify(y, z * AB.word(b))
             if n == 1:
                 for y in front.members:
-                    if not front.settled[y]:
-                        pruned_subtree(gm, y, str(z))
+                    pruned_subtree(gm, y, str(z))
     return [
         (Word(AB, y), Word(AB, z), verdict)
         for (y, z), verdict in gm._classify_memo.items()
@@ -97,4 +103,4 @@ def test_classify_matches_on_benchmark_map():
     keys = memoized_keys(gm, 1)
     assert {v for _, _, v in keys} == {INCLUDED, MIXED, DISJOINT}
     check(gm, [k for k in keys if len(k[1]) == 1])
-    check(gm, [k for k in keys if len(k[1]) == 2][:12])
+    check(gm, [k for k in keys if len(k[1]) == 2][:13])

@@ -241,6 +241,27 @@ def test_decompose_left_matches_word_level_walk(case):
     assert got[0].alphabet == fs.subgroup_alphabet
 
 
+
+@given(automata_and_words())
+@settings(max_examples=150, deadline=None)
+def test_schreier_lookup_matches_decompose_left(case):
+    """The induced system reads the generator of a step that leaves the
+    domain off the Schreier basis: for ``v`` in the domain, ``w = v a^-1``
+    outside it and ``u`` the domain vertex of ``w``'s coset, ``w u^-1`` is
+    the one generator ``decompose_left`` emits."""
+    aut, _ = case
+    fs = FundamentalSubtree(aut)
+    for v in fs.reps:
+        for a in AB.letters:
+            w = v * AB.word([a]).inverse()
+            spelling, _, u = decompose_left(fs, w)
+            if fs.in_domain(w):
+                assert len(spelling) == 0 and u == w
+                continue
+            assert u == fs.reps[fs.state_of(w)]
+            emitted = fs.symbol_of[w * u.inverse()]
+            assert spelling == fs.subgroup_alphabet.word([emitted])
+
 def test_translates_cover_ball_disjointly(index2_automaton, index3_automaton):
     """Exhaustive cover check: every vertex of ball(e, 6) lies in exactly
     one subgroup translate of the domain (the oracle tries every u)."""
