@@ -21,15 +21,13 @@ from __future__ import annotations
 
 from typing import Mapping
 
-import numpy as np
-
 from .errors import (
     InputError,
     InternalCheckError,
     ResourceLimitError,
     ValidationError,
 )
-from .multfunc import MultiplicativeFunction, _evaluator, sample_then_refine
+from .multfunc import MultiplicativeFunction, sample_then_refine
 from .subgroup import automaton_from_generators
 from .system import MatrixSystem, _assembled
 from .tolerances import COMPAT_TOL
@@ -437,10 +435,11 @@ def intertwine_changegen(
     frontier member ``y`` of ``a``, is the input evaluated at the source
     word of ``x * expand(y)``.  Spelling is a homomorphism and undoes
     ``expand``, so that word is ``spell(x) * y``; ``spell(x)`` is built
-    once per prefix ``x`` from the one of ``x`` without its last letter,
-    and each source prefix is carried once per call.  The output is
-    multiplicative over the transported system, so it is sampled on the
-    smallest sphere the input determines and refined.
+    once per prefix ``x`` from the one of ``x`` without its last letter.
+    The output is multiplicative over the transported system, so it is
+    sampled on the smallest sphere the input determines, the source words
+    of that sphere evaluated in one batch, and refined.  Raises
+    ``InputError`` when ``depth`` is given and is not a positive integer.
     """
     if f.system is not sys and not f.system.close_to(sys):
         raise InputError("function does not live over the given system")
@@ -448,10 +447,7 @@ def intertwine_changegen(
         transported = transport_system(gm, sys)
     al = gm.target
     n_out = depth if depth is not None else max(2, f.depth * gm.stretch_to_target)
-    blocks = {
-        a: [(sys.dims[last_letter(y)], y.data) for y in compute_Y(gm, al.word([a]))]
-        for a in al.letters
-    }
+    blocks = {a: [y.data for y in compute_Y(gm, al.word([a]))] for a in al.letters}
     back, rank = gm._back_table, al.rank
     spelled: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
 
@@ -461,14 +457,10 @@ def intertwine_changegen(
             s = spelled[x] = _k.multiply(spell(x[:-1]), back[x[-1] + rank])
         return s
 
-    value = _evaluator(f)
-
-    def sample(xa: Word) -> np.ndarray | None:
-        a = last_letter(xa)
+    def sample(xa: Word) -> list[tuple[tuple[int, ...], int]] | None:
         head = spell(xa.data[:-1])
-        vec = np.zeros(transported.dims[a], dtype=complex)
-        pos = 0
-        for d, y in blocks[a]:
+        out = []
+        for y in blocks[last_letter(xa)]:
             s = _k.multiply(head, y)
             if len(s) < f.depth:
                 return None
@@ -477,8 +469,7 @@ def intertwine_changegen(
                     f"sample for {xa} ends at {gm.source._from_int[s[-1]]!r}, "
                     f"not at the block's letter {gm.source._from_int[y[-1]]!r}"
                 )
-            vec[pos : pos + d] = value(s)
-            pos += d
-        return vec
+            out.append((s, 0))
+        return out
 
-    return sample_then_refine(transported, n_out, sample, f.depth)
+    return sample_then_refine(transported, n_out, sample, [f])

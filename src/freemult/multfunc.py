@@ -22,11 +22,11 @@ each digit the letter's index in the alphabet's file order, so ``code(h s)
 whose codes would not fit in ``int64`` (``(2r)^N >= 2^63``) raises
 ``ResourceLimitError`` before anything is allocated.  So does a step whose
 size exceeds ``PROPAGATION_BUDGET`` complex entries: a propagation step's
-product, or a sphere that ``sample_then_refine`` would enumerate, counted
-as its words times the system's total dimension.  The size of a step, not
-the depth, is bounded, since the sphere of a given depth grows with the
-alphabet: a subgroup of index ``n`` in ``F_r`` has ``2 + 2n(r - 1)``
-letters.
+product, a sphere that ``sample_then_refine`` would enumerate or a batch
+of words to evaluate, counted as its words times the system's total
+dimension.  The size of a step, not the depth, is bounded, since the
+sphere of a given depth grows with the alphabet: a subgroup of index ``n``
+in ``F_r`` has ``2 + 2n(r - 1)`` letters.
 
 The public constructor checks every word and value it is given and packs
 them into arrays; refinement, translation and the transports hand their
@@ -43,14 +43,19 @@ function carried to another system (by a change of generators, a
 restriction or an induction) is multiplicative over that system, so
 ``sample_then_refine`` samples it on the smallest sphere the input
 determines and propagates from there.  Evaluation past the depth, by
-``evaluate``, ``norm_via_subtree`` and those samplers, carries each prefix
-once per call: a stored prefix is found by binary search and the value at
-every longer prefix is kept for the rest of the call.
+``evaluate``, ``norm_via_subtree`` and those samplers, is one batch over
+every word a call needs: the words' stored prefixes are found by binary
+search, one per function and last letter, and all rows are carried at
+once, one product with the block matrix per letter past the depth, each
+row masked to the block of its next letter.  A sampler evaluates only the
+sphere it keeps, once its input determines every value there.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -73,6 +78,11 @@ def _check_codes(alphabet: Alphabet, depth: int) -> None:
             f"words of length {depth} over {q} letters have codes up to "
             f"{q}**{depth}, beyond int64"
         )
+
+
+def _check_depth(depth, what: str = "depth") -> None:
+    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
+        raise InputError(f"{what} must be a positive integer, got {depth!r}")
 
 
 def _check_budget(system: MatrixSystem, rows: int, what: str) -> None:
@@ -159,8 +169,7 @@ class MultiplicativeFunction:
         depth: int,
         values: Mapping[Word, np.ndarray],
     ):
-        if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
-            raise InputError(f"depth must be a positive integer, got {depth!r}")
+        _check_depth(depth)
         al, dims = system.alphabet, system.dims
         _check_codes(al, depth)
         checked = []
@@ -321,10 +330,12 @@ def _join(parts: dict) -> dict:
 def refine(f: MultiplicativeFunction, depth: int) -> MultiplicativeFunction:
     """Re-express ``f`` at a larger depth by pushing values outward.
 
-    Raises ``ResourceLimitError`` before any step when the codes of
-    ``depth`` overflow ``int64``, and at the first step whose product
-    exceeds ``PROPAGATION_BUDGET``, before it is built.
+    Raises ``InputError`` when ``depth`` is not a positive integer,
+    ``ResourceLimitError`` before any step when the codes of ``depth``
+    overflow ``int64``, and at the first step whose product exceeds
+    ``PROPAGATION_BUDGET``, before it is built.
     """
+    _check_depth(depth)
     if depth < f.depth:
         raise ValidationError("cannot refine to a smaller depth")
     if depth == f.depth:
@@ -336,78 +347,204 @@ def refine(f: MultiplicativeFunction, depth: int) -> MultiplicativeFunction:
     return MultiplicativeFunction._from_layer(f.system, depth, layer)
 
 
+def _digits(alphabet: Alphabet, words) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One digit array holding ``words`` (tuples of signed letters) end to
+    end, and each word's start and length in it."""
+    r = alphabet.rank
+    lut = np.empty(2 * r + 1, dtype=np.int64)
+    for i, t in alphabet._order.items():
+        lut[i + r] = t
+    lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+    ints = np.fromiter(
+        chain.from_iterable(words), dtype=np.int64, count=int(lengths.sum())
+    )
+    return lut[ints + r], np.cumsum(lengths) - lengths, lengths
+
+
+def _evaluate_batch(
+    system: MatrixSystem,
+    functions,
+    digits: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    which: np.ndarray,
+) -> np.ndarray:
+    """Values of functions over ``system`` at many words in one pass.
+
+    Row ``r`` is the value of ``functions[which[r]]`` at the word of
+    ``lengths[r]`` digits from ``digits[starts[r]]``, at least that
+    function's depth, in the block coordinates of ``system``: the
+    coordinates of the word's last letter hold the value and the others
+    are zero.
+
+    Each word's stored prefix is found by one binary search per function
+    and last digit; an unstored prefix leaves a zero row.  The rows that
+    carry further are ordered by the letters they have left, most first,
+    so the rows still carrying at step ``s`` are the leading ones: each
+    step is one product of them with ``H.T``, each row then masked to the
+    coordinates of its next letter.  There are as many steps as the
+    largest excess of a word's length over its depth.  Raises
+    ``ResourceLimitError`` before allocating anything when the words times
+    the total dimension exceed ``PROPAGATION_BUDGET``.
+    """
+    _check_budget(system, len(starts), "batch")
+    al = system.alphabet
+    q, letters, sl = al.size, al.letters, system._slices
+    depths = np.array([f.depth for f in functions], dtype=np.int64).take(which)
+    left = lengths - depths
+    if (left < 0).any():
+        raise InternalCheckError("a sample word is shorter than its function's depth")
+    # A prefix's code reads its digits in base q: digit j of a word weighs
+    # q**(depth - 1 - j), and 0 past the depth.
+    top = int(depths.max(initial=0))
+    weights = np.array(
+        [[q ** (n - 1 - j) if j < n else 0 for j in range(top)]
+         for n in range(top + 1)],
+        dtype=np.int64,
+    ).take(depths, axis=0)
+    span = np.minimum(starts[:, None] + np.arange(top), len(digits) - 1)
+    codes = (digits.take(span) * weights).sum(axis=1)
+    # Rows in order of function and last digit of the prefix, each pair a run.
+    key = which * q + digits.take(starts + depths - 1)
+    order = np.argsort(key, kind="stable")
+    heads = np.flatnonzero(np.diff(key.take(order), prepend=-1))
+    X = np.zeros((len(starts), system.total_dim), dtype=complex)
+    runs = zip(heads.tolist(), heads[1:].tolist() + [len(key)])
+    for (lo, hi), k in zip(runs, key.take(order.take(heads)).tolist()):
+        group = functions[k // q]._groups.get(k % q)
+        if group is None:
+            continue
+        stored, V = group
+        rows = order[lo:hi]
+        c = codes.take(rows)
+        i = stored.searchsorted(c)
+        hit = stored.take(i, mode="clip") == c
+        X[rows[hit], sl[letters[k % q]]] = V.take(i[hit], axis=0)
+
+    steps = int(left.max(initial=0))
+    if not steps:
+        return X
+    # The rows that carry, by the letters left to carry, most first.
+    carry = np.argsort(-left, kind="stable")[: np.count_nonzero(left)]
+    Y, left = X.take(carry, axis=0), left.take(carry)
+    nxt = (starts + depths).take(carry)
+    # Row c of ``mask`` is 1 on the coordinates of digit c and 0 elsewhere.
+    owner = np.repeat(np.arange(q), [system.dims[a] for a in letters])
+    mask = (owner == np.arange(q)[:, None]).astype(complex)
+    HT = system._H.T
+    # alive[s]: the rows with more than s letters left to carry
+    alive = np.searchsorted(-left, -np.arange(steps)).tolist()
+    for s, m in enumerate(alive):
+        np.multiply(
+            Y[:m] @ HT, mask.take(digits.take(nxt[:m] + s), axis=0), out=Y[:m]
+        )
+    X[carry] = Y
+    return X
+
+
+def _sampled_layer(system: MatrixSystem, n: int, functions, found: dict) -> dict:
+    """The layer of a sampled sphere of depth ``n``.  ``found`` holds, per
+    last digit, the sphere's words in order, each with its blocks'
+    ``(source word, function index)``; the words at one digit must have
+    the same number of blocks.
+
+    The source words are evaluated in one batch per distinct system of
+    the functions.  A digit's values are assembled from block columns:
+    column ``j`` holds block ``j`` of each of its words, which must all
+    end at one source letter.
+    """
+    al = system.alphabet
+    source = functions[0].system
+    pairs = [b for words in found.values() for _, blocks in words for b in blocks]
+    _check_budget(source, len(pairs), "batch")
+    src = list(map(itemgetter(0), pairs))
+    which = np.fromiter(map(itemgetter(1), pairs), dtype=np.int64, count=len(pairs))
+    digits, starts, lengths = _digits(source.alphabet, src)
+    ends = digits.take(starts + lengths - 1)
+    systems = list({id(f.system): f.system for f in functions}.values())
+    batch = np.array([systems.index(f.system) for f in functions]).take(which)
+    X = np.empty((len(src), source.total_dim), dtype=complex)
+    for b, sysm in enumerate(systems):
+        rows = np.flatnonzero(batch == b)
+        X[rows] = _evaluate_batch(
+            sysm, functions, digits, *(a.take(rows) for a in (starts, lengths, which))
+        )
+
+    outs = [w.data for words in found.values() for w, _ in words]
+    out_digits, _, _ = _digits(al, outs)
+    powers = al.size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = out_digits.reshape(-1, n) @ powers
+    src_letters, slices = source.alphabet.letters, source._slices
+    layer, lo, first = {}, 0, 0
+    for t, words in found.items():
+        width = len(words[0][1])
+        if any(len(blocks) != width for _, blocks in words):
+            raise InternalCheckError(
+                f"samples ending at {al.letters[t]!r} have different numbers of blocks"
+            )
+        hi = lo + width * len(words)
+        E = ends[lo:hi].reshape(len(words), width)
+        if (E != E[0]).any():
+            raise InternalCheckError(
+                f"a block of the samples ending at {al.letters[t]!r} "
+                f"does not end at one letter"
+            )
+        cols = [
+            X[j:hi:width, slices[src_letters[e]]]
+            for j, e in zip(range(lo, lo + width), E[0].tolist())
+        ]
+        layer[t] = (codes[first : first + len(words)], np.concatenate(cols, axis=1))
+        lo, first = hi, first + len(words)
+    return layer
+
+
 def sample_then_refine(
     system: MatrixSystem,
     depth: int,
     sample,
-    input_depth: int,
+    functions,
 ) -> MultiplicativeFunction:
-    """The depth-``depth`` function over ``system`` with value
-    ``sample(w)`` at each word ``w``, for a ``sample`` that is
-    multiplicative over ``system``.
+    """The depth-``depth`` function over ``system`` whose value at each
+    word ``w`` is read off ``functions`` as ``sample(w)`` says, for a
+    sample that is multiplicative over ``system``.
 
-    ``sample`` returns ``None`` at a word whose value its input (of depth
-    ``input_depth``) does not determine yet.  The sphere is sampled at the
-    smallest depth where every value is determined, and that function is
-    refined over ``system``, which reproduces the samples at every deeper
-    word.  Raises ``ValidationError`` when no depth up to ``depth`` is
-    determined.  Raises ``ResourceLimitError`` before any sampling when the
-    codes of ``depth`` overflow ``int64``, before enumerating a sphere
-    whose words times the total dimension exceed ``PROPAGATION_BUDGET``,
-    and as ``refine`` does.
+    ``sample(w)`` lists, for each block of the value at ``w`` in order,
+    the source word (a tuple of signed letters ending at the block's
+    letter) and the index in ``functions`` of the function that block
+    reads.  It returns ``None`` at a word whose value the functions do not
+    determine yet.  The functions share one alphabet and dimensions.  The
+    sphere is sampled at the smallest depth where every value is
+    determined; its source words are evaluated in one batch (one per
+    distinct system of the functions), and that function is refined over
+    ``system``, which reproduces the samples at every deeper word.
+
+    Raises ``InputError`` when ``depth`` is not a positive integer and
+    ``ValidationError`` when no depth up to ``depth`` is determined.
+    Raises ``ResourceLimitError`` before any sampling when the codes of
+    ``depth`` overflow ``int64``, before enumerating a sphere whose words
+    times the total dimension exceed ``PROPAGATION_BUDGET``, before
+    evaluating a batch whose source words times the source total
+    dimension exceed it, and as ``refine`` does.
     """
+    _check_depth(depth, "output depth")
     al = system.alphabet
     _check_codes(al, depth)
     for n in range(1, depth + 1):
         _check_budget(system, al.size * (al.size - 1) ** (n - 1), f"sphere {n}")
-        samples = []
+        found: dict[int, list] = {}
         for w in sphere(al, n):
-            v = sample(w)
-            if v is None:
+            blocks = sample(w)
+            if blocks is None:
                 break
-            samples.append((w, v))
+            found.setdefault(al._order[w.data[-1]], []).append((w, blocks))
         else:
-            f = MultiplicativeFunction._from_layer(system, n, _pack(al, samples))
+            layer = _sampled_layer(system, n, functions, found)
+            f = MultiplicativeFunction._from_layer(system, n, layer)
             return refine(f, depth)
     raise ValidationError(
-        f"output depth {depth} is too small for input depth {input_depth}"
+        f"output depth {depth} is too small for input depth "
+        f"{max(f.depth for f in functions)}"
     )
-
-
-def _evaluator(f: MultiplicativeFunction):
-    """``value(data)``: the value of ``f`` at the word with signed letters
-    ``data``, of length at least the depth.
-
-    A word of the depth is looked up by binary search; a longer word is
-    ``H(last, prev)`` times the value at its prefix.  Each prefix is carried
-    once: the values are kept in a memo that lives as long as the returned
-    function, which callers hold for one call.  A prefix of the depth that
-    is not stored leaves the value zero without any product.
-    """
-    al, sysm, n = f.alphabet, f.system, f.depth
-    letter, order = al._from_int, al._order
-    memo: dict[tuple[int, ...], np.ndarray | None] = {}
-
-    def stored(data: tuple[int, ...]) -> np.ndarray | None:
-        codes, V = f._group(order[data[-1]])
-        code = _encode(al, data)
-        i = int(np.searchsorted(codes, code))
-        return V[i] if i < len(codes) and codes[i] == code else None
-
-    def value(data: tuple[int, ...]) -> np.ndarray:
-        k = len(data)
-        while k > n and data[:k] not in memo:
-            k -= 1
-        v = memo[data[:k]] if k > n else stored(data[:n])
-        for j in range(k, len(data)):
-            if v is not None:
-                v = sysm.H(letter[data[j]], letter[data[j - 1]]) @ v
-            memo[data[: j + 1]] = v
-        if v is None:
-            return np.zeros(sysm.dims[letter[data[-1]]], dtype=complex)
-        return v
-
-    return value
 
 
 def evaluate(f: MultiplicativeFunction, y: Word) -> np.ndarray:
@@ -418,7 +555,10 @@ def evaluate(f: MultiplicativeFunction, y: Word) -> np.ndarray:
         raise ValidationError(
             f"value at {y} (length {len(y)}) is not determined at depth {f.depth}"
         )
-    return _evaluator(f)(y.data)
+    X = _evaluate_batch(
+        f.system, [f], *_digits(f.alphabet, [y.data]), np.zeros(1, dtype=np.int64)
+    )
+    return X[0, f.system._slices[last_letter(y)]]
 
 
 def _same_system(f: MultiplicativeFunction, g: MultiplicativeFunction) -> bool:
@@ -515,7 +655,11 @@ def act(x: Word, f: MultiplicativeFunction) -> MultiplicativeFunction:
 
 def norm_via_subtree(f: MultiplicativeFunction, tree: FiniteSubtree) -> float:
     """Squared norm as the terminal sum over a complete subtree containing
-    the ball of the function's depth around the identity."""
+    the ball of the function's depth around the identity.
+
+    The terminals are evaluated in one batch, so this raises
+    ``ResourceLimitError`` when they times the total dimension exceed
+    ``PROPAGATION_BUDGET``."""
     if tree.alphabet != f.alphabet:
         raise InputError("subtree over a different alphabet")
     if not tree.is_complete:
@@ -524,12 +668,11 @@ def norm_via_subtree(f: MultiplicativeFunction, tree: FiniteSubtree) -> float:
         raise ValidationError(
             "subtree must contain the ball of the function's depth"
         )
-    value = _evaluator(f)
-    total = 0.0
-    for t in tree.terminals:
-        v = value(t.data)
-        total += float((v.conj() @ f.system.B(last_letter(t)) @ v).real)
-    return total
+    words = [t.data for t in tree.terminals]
+    which = np.zeros(len(words), dtype=np.int64)
+    X = _evaluate_batch(f.system, [f], *_digits(f.alphabet, words), which)
+    # each row is zero off its last letter's coordinates, and B is block diagonal
+    return float(np.sum((X.conj() @ f.system._B) * X).real)
 
 
 def matrix_coefficient(

@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 
-import numpy as np
-
 from .errors import InputError, InternalCheckError, ValidationError
-from .multfunc import MultiplicativeFunction, _evaluator, sample_then_refine
+from .multfunc import MultiplicativeFunction, sample_then_refine
 from .subgroup import FundamentalSubtree, decompose_left
 from .system import MatrixSystem, _assembled
 from .tolerances import COMPAT_TOL
@@ -63,17 +61,17 @@ def restrict_function(
     The value at a subgroup word ``y b``, with ``b`` its final letter, is
     the input evaluated at ``expand(y)`` times the contact vertex of
     ``b``.  The output is multiplicative over the restricted system, so it
-    is sampled on the smallest sphere the input determines and refined;
-    each prefix of an input word is carried once per call.
+    is sampled on the smallest sphere the input determines, the input
+    words of that sphere evaluated in one batch, and refined.  Raises
+    ``InputError`` when ``depth`` is given and is not a positive integer.
     """
     if f.system is not sys and not f.system.close_to(sys):
         raise InputError("function does not live over the given system")
     if restricted is None:
         restricted = restrict_system(fs, sys)
     n_out = depth if depth is not None else f.depth
-    value = _evaluator(f)
 
-    def sample(yb: Word) -> np.ndarray | None:
+    def sample(yb: Word) -> list[tuple[tuple[int, ...], int]] | None:
         b = last_letter(yb)
         s = fs.expand(drop_last(yb)) * fs.contact[b]
         if len(s) < f.depth:
@@ -83,9 +81,9 @@ def restrict_function(
                 f"sample for {yb} ends at {last_letter(s)!r}, "
                 f"not the contact letter {fs.contact_letter[b]!r}"
             )
-        return value(s.data)
+        return [(s.data, 0)]
 
-    return sample_then_refine(restricted, n_out, sample, f.depth)
+    return sample_then_refine(restricted, n_out, sample, [f])
 
 
 def coset_pairs(fs: FundamentalSubtree, a: str) -> list[tuple[Word, str]]:
@@ -164,7 +162,10 @@ def induce_function(
     the family member at the domain vertex ``v`` with ``v x u^-1`` in
     the subgroup, and evaluates it at the subgroup word of
     ``v x u^-1 gamma_c``.  The squared norm of the output is the sum of
-    the members' squared norms.
+    the members' squared norms.  The output is sampled on the smallest
+    sphere the family determines, its words evaluated in one batch per
+    distinct member system, and refined.  Raises ``InputError`` when
+    ``depth`` is given and is not a positive integer.
     """
     al = fs.automaton.alphabet
     sub = fs.subgroup_alphabet
@@ -187,15 +188,13 @@ def induce_function(
         if depth is not None
         else stretch * (n_max + 1) + 2 * d_max + 1
     )
-    evaluators = {v: _evaluator(g) for v, g in family.items()}
+    members = list(family)
+    index = {v: k for k, v in enumerate(members)}
 
-    def sample(xa: Word) -> np.ndarray | None:
-        a = last_letter(xa)
+    def sample(xa: Word) -> list[tuple[tuple[int, ...], int]] | None:
         x = drop_last(xa)
-        vec = np.zeros(induced.dims[a], dtype=complex)
-        pos = 0
-        for u, c in P[a]:
-            d = subsys.dims[c]
+        out = []
+        for u, c in P[last_letter(xa)]:
             z = x * u.inverse()
             v = fs.reps[fs.state_of(z.inverse())]
             h = v * z
@@ -211,11 +210,12 @@ def induce_function(
                     f"sample word for ({u}, {c}) at {xa} ends at "
                     f"{last_letter(w)!r}"
                 )
-            vec[pos : pos + d] = evaluators[v](w.data)
-            pos += d
-        return vec
+            out.append((w.data, index[v]))
+        return out
 
-    return sample_then_refine(induced, n_out, sample, n_max)
+    return sample_then_refine(
+        induced, n_out, sample, [family[v] for v in members]
+    )
 
 
 def truncation_subtree(

@@ -7,10 +7,15 @@ input determines and refine it over the output system.  The references
 below are the earlier implementations: they evaluate the input at every
 word of the requested output sphere (and ``act`` walks every extension of
 the support by up to ``2 |x|`` letters), carrying each value letter by
-letter from its stored prefix, apart from the package's evaluation.  Values and supports must agree
-at every output depth from one below the smallest valid one up to the
-default, and both must reject the too-shallow depth with a
-``ValidationError``.
+letter from its stored prefix, apart from the package's evaluation.
+Values and supports must agree at every output depth from one below the
+smallest valid one up to the default, and both must reject the
+too-shallow depth with a ``ValidationError``.
+
+The package evaluates a sampled sphere in one batch, whose products differ
+from one-vector products in the last bits.  So the intertwiner's output at
+its sampling depth is compared bitwise with the package's batch on the
+reference's sample words, and the batch's carry products are counted.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from freemult import (
     schreier_subtree,
     transport_system,
 )
-from freemult.errors import InternalCheckError, ValidationError
+from freemult.errors import InputError, InternalCheckError, ValidationError
+from freemult.multfunc import _digits, _evaluate_batch
 from freemult.transport import _tile_word, coset_pairs
 from freemult.words import Word, drop_last, last_letter, sphere
 
@@ -179,6 +185,42 @@ def reference_intertwine(gm, sys, f, transported, n_out):
     return MultiplicativeFunction(transported, n_out, values)
 
 
+def sample_words(gm, sys, f, n_out):
+    """Per word of the output sphere, the source words of its blocks, as
+    the reference spells them."""
+    al = gm.target
+    images = {
+        a: [gm.expand(y) for y in compute_Y(gm, al.word([a])).members]
+        for a in al.letters
+    }
+    out = []
+    for xa in sphere(al, n_out):
+        blocks = [gm.spell(drop_last(xa) * image) for image in images[last_letter(xa)]]
+        if any(len(s) < f.depth for s in blocks):
+            raise ValidationError(
+                f"output depth {n_out} is too small for input depth {f.depth}"
+            )
+        out.append((xa, [s.data for s in blocks]))
+    return out
+
+
+def batch_intertwine(gm, sys, f, transported, n_out):
+    """The intertwined function at the sampling depth, from one call of the
+    package's batch on the reference's sample words."""
+    found = sample_words(gm, sys, f, n_out)
+    words = [s for _, blocks in found for s in blocks]
+    which = np.zeros(len(words), dtype=np.int64)
+    X = _evaluate_batch(sys, [f], *_digits(sys.alphabet, words), which)
+    values, row = {}, 0
+    for xa, blocks in found:
+        vec = []
+        for s in blocks:
+            vec.append(X[row, sys._slices[gm.source._from_int[s[-1]]]])
+            row += 1
+        values[xa] = np.concatenate(vec)
+    return MultiplicativeFunction(transported, n_out, values)
+
+
 # --------------------------------------------------------------- helpers
 
 
@@ -285,6 +327,34 @@ def test_induce_function_matches_reference(rng, index, index2_automaton, index3_
         )
 
 
+def test_induce_function_reads_each_member_over_its_own_system(rng, index3_automaton):
+    """Members over distinct but close systems are evaluated in one batch
+    per system, each over its own transfers: the ``1e-10`` scaling moves
+    the samples, which carry up to two letters past the members' depth, by
+    far more than the comparison's ``1e-12``.  Only the sampling depth is
+    compared, since deeper values are refined over the induced system,
+    which is built from one of the two."""
+    fs = schreier_subtree(index3_automaton)
+    subsys = restrict_system(fs, random_compatible(rng, max_dim=2))
+    nearby = subsys.scale_H(1 + 1e-10)
+    assert nearby.close_to(subsys)
+    induced = induce_system(fs, subsys)
+    reps = sorted(fs.reps, key=Word.sort_key)
+    family = {
+        u: random_function(rng, nearby if k % 2 else subsys, 2)
+        for k, u in enumerate(reps)
+    }
+    n0 = 1
+    while True:
+        try:
+            want = reference_induce(fs, subsys, family, induced, n0)
+            break
+        except ValidationError:
+            n0 += 1
+    got = induce_function(fs, subsys, family, induced=induced, depth=n0)
+    assert_same(got, want)
+
+
 def test_induce_function_default_depth_matches_reference(rng, index2_automaton):
     fs = schreier_subtree(index2_automaton)
     subsys = restrict_system(fs, random_compatible(rng, max_dim=1))
@@ -307,53 +377,63 @@ def test_intertwine_changegen_matches_reference(rng, images):
             lambda n: reference_intertwine(gm, sys0, f, moved, n),
             default=default,
         )
-        # at the sampling depth the output is the samples themselves, made
-        # of the same products in the same order as the reference's
+        # at the sampling depth the output is the package's batch on the
+        # reference's sample words, in the same order
         assert_identical(
             intertwine_changegen(gm, sys0, f, transported=moved, depth=n0),
-            reference_intertwine(gm, sys0, f, moved, n0),
+            batch_intertwine(gm, sys0, f, moved, n0),
         )
         assert intertwine_changegen(gm, sys0, f, transported=moved).depth == default
 
 
-def test_intertwine_changegen_carries_each_source_prefix_once(rng, monkeypatch):
+def test_intertwine_changegen_carries_in_one_product_per_letter(rng):
+    """The source words of the sampled sphere are carried together: at
+    most one product with the source block matrix per letter that the
+    longest of them has past the depth."""
     gm = GeneratorMap(AB, AB, CHANGEGEN_MAPS[0])
-    sys0 = random_compatible(rng, max_dim=2)
+    base = random_compatible(rng, max_dim=2)
+
+    class Counted(np.ndarray):
+        """The source block matrix, counting the products taken with it."""
+
+        products = 0
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul:
+                Counted.products += 1
+            plain = tuple(np.asarray(x) for x in inputs)
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    sys0 = MatrixSystem._unchecked(AB, base.dims, base._H.view(Counted), base._B)
     moved = transport_system(gm, sys0)
     f = random_function(rng, sys0, 2)
-
-    # The sample words in the order the sampler visits them: sphere by
-    # sphere, each up to its first word shorter than the depth.
-    members = {a: compute_Y(gm, AB.word(a)).members for a in AB.letters}
-    words, n = [], 0
+    n = 1
     while True:
-        n += 1
-        short = False
-        for xa in sphere(AB, n):
-            for y in members[last_letter(xa)]:
-                s = gm.spell(drop_last(xa) * gm.expand(y))
-                if len(s) < f.depth:
-                    short = True
-                    break
-                words.append(s.data)
-            if short:
-                break
-        if not short:
+        try:
+            words = [s for _, blocks in sample_words(gm, sys0, f, n) for s in blocks]
             break
-    prefixes = {s[:k] for s in words for k in range(f.depth + 1, len(s) + 1)}
-    steps = sum(len(s) - f.depth for s in words)
-    assert len(prefixes) < steps
+        except ValidationError:
+            n += 1
+    longest = max(len(s) for s in words)
+    assert longest - f.depth >= 2
 
-    source_calls = 0
-    H = MatrixSystem.H
-
-    def counting_H(self, b, a):
-        nonlocal source_calls
-        if self is sys0:
-            source_calls += 1
-        return H(self, b, a)
-
-    monkeypatch.setattr(MatrixSystem, "H", counting_H)
+    Counted.products = 0
     out = intertwine_changegen(gm, sys0, f, transported=moved, depth=n)
     assert out.depth == n
-    assert source_calls == len(prefixes)
+    assert 1 <= Counted.products <= longest - f.depth
+
+
+def test_transport_depth_must_be_a_positive_integer(rng, index2_automaton):
+    fs = schreier_subtree(index2_automaton)
+    sys0 = random_compatible(rng, max_dim=2)
+    f = random_function(rng, sys0, 2)
+    gm = GeneratorMap(AB, AB, CHANGEGEN_MAPS[0])
+    subsys = restrict_system(fs, sys0)
+    family = {u: random_function(rng, subsys, 1) for u in fs.reps}
+    for depth in (2.5, 3.0, "3", True, 0):
+        with pytest.raises(InputError, match="output depth must be a positive integer"):
+            intertwine_changegen(gm, sys0, f, depth=depth)
+        with pytest.raises(InputError, match="output depth must be a positive integer"):
+            restrict_function(fs, sys0, f, restricted=subsys, depth=depth)
+        with pytest.raises(InputError, match="output depth must be a positive integer"):
+            induce_function(fs, subsys, family, depth=depth)

@@ -72,6 +72,17 @@ def test_constructor_checks(spherical):
     assert evaluate(f, a)[0] == 0
 
 
+@pytest.mark.parametrize("depth", [2.5, 3.0, "3", True, 0, -1])
+def test_refine_depth_must_be_a_positive_integer(spherical, depth):
+    """A float, a string or a bool is refused as input, not read as a
+    number or left to fail inside a step."""
+    f = shadow(spherical, AB.word("a"), [1.0])
+    with pytest.raises(InputError, match="depth must be a positive integer"):
+        refine(f, depth)
+    with pytest.raises(InputError, match="output depth must be a positive integer"):
+        sample_then_refine(spherical, depth, lambda w: None, [f])
+
+
 def test_shadow_support(spherical):
     f = shadow(spherical, AB.word("a"), [1.0])
     assert f.depth == 1
@@ -281,7 +292,7 @@ def test_propagation_budget_enforced(monkeypatch):
     monkeypatch.setattr(multfunc, "sphere", recorded)
     monkeypatch.setattr(multfunc, "PROPAGATION_BUDGET", 18 * 30)
     with pytest.raises(ResourceLimitError, match="sphere 3 of 150 words"):
-        sample_then_refine(sysm, 5, lambda w: None, 5)
+        sample_then_refine(sysm, 5, lambda w: None, [f])
     assert radii == [1, 2]
 
 

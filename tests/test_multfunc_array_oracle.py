@@ -21,6 +21,8 @@ none, and ``act`` takes its single-digit and all-but-one steps over them.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,7 +42,14 @@ from freemult import (
     shadow,
 )
 from freemult import multfunc
-from freemult.multfunc import _decode, _encode, sample_then_refine
+from freemult.errors import InternalCheckError
+from freemult.multfunc import (
+    _decode,
+    _digits,
+    _encode,
+    _evaluate_batch,
+    sample_then_refine,
+)
 from freemult.words import Word, last_letter, sphere
 
 from .conftest import AB, _pairs
@@ -130,6 +139,25 @@ def reference_functions_close(f, g, tol):
         if np.linalg.norm(v - w) > tol:
             return False
     return True
+
+
+def reference_value(f, data):
+    """``f`` at the word with signed letters ``data``, one word and one
+    letter at a time: the stored value at its prefix of the depth (zero
+    when none is stored), then one transfer per further letter.  Also
+    returns ``|value at the prefix|`` times the 2-norms of those
+    transfers, which bounds the value and scales its rounding error."""
+    al, sysm = f.alphabet, f.system
+    fi = al._from_int
+    v = f.values.get(Word(al, data[: f.depth]))
+    if v is None:
+        v = np.zeros(sysm.dims[fi[data[f.depth - 1]]], dtype=complex)
+    bound = np.linalg.norm(v)
+    for prev, cur in zip(data[f.depth - 1 :], data[f.depth :]):
+        m = sysm.H(fi[cur], fi[prev])
+        v = m @ v
+        bound *= np.linalg.norm(m, 2) if m.size else 0.0
+    return v, bound
 
 
 # --------------------------------------------------------------- helpers
@@ -464,4 +492,107 @@ def test_code_overflow_raises_before_allocating():
         raise AssertionError("sampled past the code guard")
 
     with pytest.raises(ResourceLimitError):
-        sample_then_refine(sys40, 12, sample, 1)
+        sample_then_refine(sys40, 12, sample, [f])
+
+
+def _reduced(al, picks):
+    """The word whose letter ``i`` is pick ``i`` among the letters that do
+    not cancel the one before."""
+    ints = []
+    for k in picks:
+        allowed = [i for i in al._file_ints if not ints or i != -ints[-1]]
+        ints.append(allowed[k % len(allowed)])
+    return tuple(ints)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([AB, ABC, SUB4]),
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_batch_matches_one_word_at_a_time(seed, al, depth, extra, data):
+    """The batched evaluation against a letter-by-letter one, word by
+    word: words of mixed lengths from the depth up, mostly unstored
+    prefixes (the first function is sparse), a letter of dimension zero,
+    and two functions of different depths in one batch, as induction
+    makes them."""
+    rng = np.random.default_rng(seed)
+    dims = {a: int(rng.integers(1, 3)) for a in al.letters}
+    dims[al.letters[int(rng.integers(al.size))]] = 0
+    sys0 = gaussian_system(rng, al, dims, set())
+    functions = [
+        random_function(rng, sys0, depth, sparse=True),
+        random_function(rng, sys0, depth + extra, sparse=False),
+    ]
+    words, which = [], []
+    for k in data.draw(st.lists(st.integers(0, 1), max_size=30)):
+        length = functions[k].depth + data.draw(st.integers(0, 4))
+        picks = data.draw(
+            st.lists(st.integers(0, al.size - 1), min_size=length, max_size=length)
+        )
+        words.append(_reduced(al, picks))
+        which.append(k)
+    X = _evaluate_batch(
+        sys0, functions, *_digits(al, words), np.array(which, dtype=np.int64)
+    )
+    assert X.shape == (len(words), sys0.total_dim)
+    for row, w, k in zip(X, words, which):
+        last = al._from_int[w[-1]]
+        want, bound = reference_value(functions[k], w)
+        s = sys0._slices[last]
+        assert np.linalg.norm(row[s] - want) <= 1e-12 * max(bound, 1e-300)
+        assert not row[: s.start].any() and not row[s.stop :].any()
+
+
+def test_batch_over_budget_raises_before_allocating(monkeypatch):
+    """A batch whose words times the total dimension exceed the budget
+    raises before its value array (16 bytes an entry) is allocated."""
+    dims = {a: 3 for a in ABC.letters}
+    sys0 = gaussian_system(np.random.default_rng(3), ABC, dims, set())
+    f = shadow(sys0, ABC.word("a"), np.ones(3))
+    digits, starts, lengths = _digits(ABC, [w.data for w in sphere(ABC, 5)][:1001])
+    which = np.zeros(len(starts), dtype=np.int64)
+    monkeypatch.setattr(multfunc, "PROPAGATION_BUDGET", 18 * 1000)
+    X = _evaluate_batch(sys0, [f], digits, starts[:1000], lengths[:1000], which[:1000])
+    assert X.shape == (1000, 18)
+    refused = 16 * 18 * 1001
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="batch of 1001 words"):
+            _evaluate_batch(sys0, [f], digits, starts, lengths, which)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < refused
+
+
+STORE_REJECTS = {
+    "codes dtype": (np.array([0, 8], dtype=np.int32), np.ones((2, 2), complex)),
+    "values dtype": (np.array([0, 8], dtype=np.int64), np.ones((2, 2))),
+    "values shape": (np.array([0, 8], dtype=np.int64), np.ones((2, 3), complex)),
+    "codes shape": (np.array([[8]], dtype=np.int64), np.ones((1, 2), complex)),
+    "code below range": (np.array([-4, 8], dtype=np.int64), np.ones((2, 2), complex)),
+    "code above range": (np.array([0, 16], dtype=np.int64), np.ones((2, 2), complex)),
+    "last digit": (np.array([0, 9], dtype=np.int64), np.ones((2, 2), complex)),
+    "duplicate code": (np.array([8, 8], dtype=np.int64), np.ones((2, 2), complex)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORE_REJECTS))
+def test_store_rejects_a_corrupt_layer(case):
+    """``_from_layer`` refuses a layer the package's producers could not
+    have built: depth 2 over ``aAbB`` has codes ``0..15``, and the words
+    ending at ``a`` (digit 0) have codes divisible by 4, such as ``aa``
+    (0) and ``ba`` (8).  The rows are nonzero, so none is dropped before
+    the code checks."""
+    dims = {a: 2 for a in AB.letters}
+    sys0 = gaussian_system(np.random.default_rng(4), AB, dims, set())
+    good = MultiplicativeFunction._from_layer(
+        sys0, 2, {0: (np.array([0, 8], dtype=np.int64), np.ones((2, 2), complex))}
+    )
+    assert good.support() == [AB.word("aa"), AB.word("ba")]
+    with pytest.raises(InternalCheckError):
+        MultiplicativeFunction._from_layer(sys0, 2, {0: STORE_REJECTS[case]})
