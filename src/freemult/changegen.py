@@ -13,23 +13,23 @@ vertices whose cones embed into the target cone at ``z``.  The decision is
 exact: extending a source word cancels at most ``C = floor(L * L' / 2)``
 letters of its image (Cooper's bounded cancellation), so a source vertex
 whose image has at least ``|z| + C`` letters settles its whole cone.
-Frontiers index the blocks of the transported system, and the transported
-transfer matrices are propagation products along frontier suffixes.
+Frontiers index the blocks of the transported system.  Transport is a
+pull-back along the inverse substitution ``spell``, with each target
+letter's frontier members as its member words: the block between members
+propagates along the rest of ``spell(a) y`` after the member of ``a`` that
+prefixes it, and a function's value at ``x a`` in the block of ``y`` is
+read at ``spell(x) y``.  Restriction to a subgroup is the same pull-back
+(``system._pull_back_system`` and ``multfunc._pull_back_function``).
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from .errors import (
-    InputError,
-    InternalCheckError,
-    ResourceLimitError,
-    ValidationError,
-)
-from .multfunc import MultiplicativeFunction, sample_then_refine
+from .errors import InputError, InternalCheckError, ValidationError
+from .multfunc import MultiplicativeFunction, _pull_back_function
 from .subgroup import automaton_from_generators
-from .system import MatrixSystem, _assembled
+from .system import MatrixSystem, _pull_back_system
 from .tolerances import COMPAT_TOL
 from .words import (
     Alphabet, FiniteSubtree, Word, _letter_table, children, drop_last, last_letter
@@ -378,23 +378,6 @@ def pruned_subtree(gm: GeneratorMap, w: Word, a: str) -> FiniteSubtree:
     return tree
 
 
-def _frontier_projection(
-    gm: GeneratorMap, front: YFrontier, g: Word
-) -> tuple[Word, Word]:
-    """Split the source word of ``g`` as (frontier member, remaining suffix).
-
-    ``g`` is a target-alphabet element whose cone embeds into the cone of
-    the frontier's root; the member is the unique one on the source
-    geodesic of ``g``.
-    """
-    s = gm.spell(g)
-    for k in range(1, len(s) + 1):
-        p = s.prefix(k)
-        if p in front.members:
-            return p, Word(gm.source, s.data[k:])
-    raise InternalCheckError(f"no frontier prefix found for {g}")
-
-
 def transport_system(
     gm: GeneratorMap, sys: MatrixSystem, tol: float = COMPAT_TOL
 ) -> MatrixSystem:
@@ -409,16 +392,15 @@ def transport_system(
     """
     if sys.alphabet != gm.source:
         raise InputError("transport needs a system over the source alphabet")
+    return _pull_back_system(
+        sys, gm.target, gm._back_table, _frontier_table(gm), "transport", tol
+    )
+
+
+def _frontier_table(gm: GeneratorMap) -> dict[str, list[tuple[int, ...]]]:
+    """The source words of each target letter's frontier members."""
     al = gm.target
-    fronts = {a: compute_Y(gm, al.word([a])) for a in al.letters}
-    members = {a: [(y, last_letter(y)) for y in fronts[a].members] for a in al.letters}
-
-    def step(a: str, b: str, zrow: Word) -> tuple[Word, tuple[int, ...]]:
-        g = al.word([a]) * gm.expand(zrow)
-        member, suffix = _frontier_projection(gm, fronts[a], g)
-        return member, suffix.data
-
-    return _assembled(sys, al, members, step, "transport", tol)
+    return {a: [y.data for y in compute_Y(gm, al.word([a]))] for a in al.letters}
 
 
 def intertwine_changegen(
@@ -445,31 +427,7 @@ def intertwine_changegen(
         raise InputError("function does not live over the given system")
     if transported is None:
         transported = transport_system(gm, sys)
-    al = gm.target
     n_out = depth if depth is not None else max(2, f.depth * gm.stretch_to_target)
-    blocks = {a: [y.data for y in compute_Y(gm, al.word([a]))] for a in al.letters}
-    back, rank = gm._back_table, al.rank
-    spelled: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
-
-    def spell(x: tuple[int, ...]) -> tuple[int, ...]:
-        s = spelled.get(x)
-        if s is None:
-            s = spelled[x] = _k.multiply(spell(x[:-1]), back[x[-1] + rank])
-        return s
-
-    def sample(xa: Word) -> list[tuple[tuple[int, ...], int]] | None:
-        head = spell(xa.data[:-1])
-        out = []
-        for y in blocks[last_letter(xa)]:
-            s = _k.multiply(head, y)
-            if len(s) < f.depth:
-                return None
-            if s[-1] != y[-1]:
-                raise InternalCheckError(
-                    f"sample for {xa} ends at {gm.source._from_int[s[-1]]!r}, "
-                    f"not at the block's letter {gm.source._from_int[y[-1]]!r}"
-                )
-            out.append((s, 0))
-        return out
-
-    return sample_then_refine(transported, n_out, sample, [f])
+    return _pull_back_function(
+        transported, n_out, gm._back_table, _frontier_table(gm), f
+    )

@@ -27,7 +27,7 @@ from .jsonio import (
     word_from_json,
     word_to_json,
 )
-from .multfunc import act, inner_product, norm2
+from .multfunc import act, matrix_coefficient, norm2
 from .perron import normalize_to_compatible, pf_eigenpair
 from .subgroup import FundamentalSubtree
 from .system import compatibility_defect
@@ -161,7 +161,7 @@ def _cmd_coeff(args) -> None:
     f = function_from_json(sysm, _load(args.function))
     g = function_from_json(sysm, _load(args.other))
     x = word_from_json(sysm.alphabet, args.word)
-    value = inner_product(act(x, f), g)
+    value = matrix_coefficient(x, f, g)
     _dump({"value": [value.real, value.imag]})
 
 

@@ -63,6 +63,7 @@ from .errors import InputError, InternalCheckError, ResourceLimitError, Validati
 from .system import MatrixSystem
 from .tolerances import FUNCTIONS_CLOSE_TOL
 from .words import Alphabet, FiniteSubtree, Word, last_letter, sphere
+from . import _kernel_py as _k
 
 # Complex entries one propagation step or sampled sphere may hold; a larger
 # one fails fast (2**24 entries are 256 MiB).
@@ -545,6 +546,49 @@ def sample_then_refine(
         f"output depth {depth} is too small for input depth "
         f"{max(f.depth for f in functions)}"
     )
+
+
+def _pull_back_function(
+    system: MatrixSystem,
+    depth: int,
+    image,
+    members,
+    f: MultiplicativeFunction,
+) -> MultiplicativeFunction:
+    """The depth-``depth`` function over ``system``, pulled back from ``f``
+    along a letter substitution, by ``sample_then_refine``.
+
+    ``image`` and ``members`` are the tables ``system`` was pulled back
+    along (see ``system._pull_back_system``).  The value at ``x t``, in the
+    block of a member ``y`` of ``t``, is ``f`` at ``image(x) y``;
+    ``image(x)`` is built once per prefix ``x`` from the one of ``x``
+    without its last letter.
+    """
+    rank, letter = system.alphabet.rank, f.system.alphabet._from_int
+    heads: dict[tuple[int, ...], tuple[int, ...]] = {(): ()}
+
+    def head(x: tuple[int, ...]) -> tuple[int, ...]:
+        h = heads.get(x)
+        if h is None:
+            h = heads[x] = _k.multiply(head(x[:-1]), image[x[-1] + rank])
+        return h
+
+    def sample(xt: Word) -> list[tuple[tuple[int, ...], int]] | None:
+        h = head(xt.data[:-1])
+        out = []
+        for y in members[last_letter(xt)]:
+            s = _k.multiply(h, y)
+            if len(s) < f.depth:
+                return None
+            if s[-1] != y[-1]:
+                raise InternalCheckError(
+                    f"sample for {xt} ends at {letter[s[-1]]!r}, "
+                    f"not at the block's letter {letter[y[-1]]!r}"
+                )
+            out.append((s, 0))
+        return out
+
+    return sample_then_refine(system, depth, sample, [f])
 
 
 def evaluate(f: MultiplicativeFunction, y: Word) -> np.ndarray:

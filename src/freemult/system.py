@@ -42,6 +42,7 @@ from .tolerances import (
     UNITARY_TOL,
 )
 from .words import Alphabet
+from . import _kernel_py as _k
 
 
 def _as_matrix(value, rows: int, cols: int, what: str) -> np.ndarray:
@@ -392,6 +393,45 @@ def _assembled(
     out = MatrixSystem._unchecked(alphabet, dims, H, B)
     _check_compatibility_kept(source, out, tol, what)
     return out
+
+
+def _member_prefix(
+    members: Sequence[tuple[int, ...]], s: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split a source word ``s`` as (the member of the antichain
+    ``members`` that prefixes it, the rest of ``s``)."""
+    for y in members:
+        if s[: len(y)] == y:
+            return y, s[len(y) :]
+    raise InternalCheckError(f"no member prefixes the source word {s}")
+
+
+def _pull_back_system(
+    source: MatrixSystem,
+    alphabet: Alphabet,
+    image: Sequence[tuple[int, ...]],
+    members: Mapping[str, Sequence[tuple[int, ...]]],
+    what: str,
+    tol: float,
+) -> MatrixSystem:
+    """A system over ``alphabet`` pulled back from ``source`` along a letter
+    substitution.
+
+    ``image`` is a kernel substitution table (slot ``i + rank`` holds the
+    source word of the letter of ``alphabet`` numbered ``i``), and
+    ``members[t]`` is an antichain of source words, each contributing the
+    source space at its last letter to the space at ``t``.  The block from
+    a member of ``a`` to a member ``r`` of ``b`` carries along the rest of
+    ``s = image(a) r`` after the member of ``a`` that prefixes ``s``.
+    """
+    rank, letter = alphabet.rank, source.alphabet._from_int
+
+    def step(a: str, b: str, r: tuple[int, ...]):
+        s = _k.multiply(image[alphabet._to_int[a] + rank], r)
+        return _member_prefix(members[a], s)
+
+    spaces = {t: [(y, letter[y[-1]]) for y in ys] for t, ys in members.items()}
+    return _assembled(source, alphabet, spaces, step, what, tol)
 
 
 class Subsystem:

@@ -7,6 +7,12 @@ induction goes the other way, spreading a subgroup system over blocks
 indexed by ``(domain vertex, subgroup letter)`` pairs.  Both directions
 carry multiplicative functions along and preserve compatibility, norms,
 and inner products, which is what the numeric checks here pin down.
+
+Restriction is a pull-back along the substitution ``c -> gamma_c``, with
+each subgroup letter's contact vertex as its only member word: the same
+pull-back a change of generators makes with its frontiers (see
+``changegen``).  Its function sampler builds ``expand(y)`` once per prefix
+``y``.  Induction is not a substitution and keeps its own block step.
 """
 
 from __future__ import annotations
@@ -14,9 +20,9 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from .errors import InputError, InternalCheckError, ValidationError
-from .multfunc import MultiplicativeFunction, sample_then_refine
+from .multfunc import MultiplicativeFunction, _pull_back_function, sample_then_refine
 from .subgroup import FundamentalSubtree, decompose_left
-from .system import MatrixSystem, _assembled
+from .system import MatrixSystem, _assembled, _pull_back_system
 from .tolerances import COMPAT_TOL
 from .words import FiniteSubtree, Word, ball, drop_last, first_letter, last_letter, sphere
 
@@ -29,24 +35,15 @@ def restrict_system(
     The space at a subgroup letter is the ambient space at its contact
     vertex's final letter.  A transfer block is the product of ambient
     transfers along the path from one contact vertex, through the
-    translated domain, to the next.
+    translated domain, to the next: a pull-back along ``gamma`` with the
+    contact vertex as each letter's only member.
     """
     al = fs.automaton.alphabet
     if sys.alphabet != al:
         raise InputError("restriction needs a system over the ambient alphabet")
     sub = fs.subgroup_alphabet
-    members = {c: [(c, fs.contact_letter[c])] for c in sub.letters}
-
-    def step(a: str, b: str, _) -> tuple[str, tuple[int, ...]]:
-        xa = fs.contact[a]
-        t = fs.gamma_of[a] * fs.contact[b]
-        if not t.starts_with(xa) or len(t) == len(xa):
-            raise InternalCheckError(
-                f"contact path for ({b}, {a}) does not descend through {xa}"
-            )
-        return a, t.data[len(xa) :]
-
-    return _assembled(sys, sub, members, step, "restriction", tol)
+    members = {c: [fs.contact[c].data] for c in sub.letters}
+    return _pull_back_system(sys, sub, fs._gamma_table, members, "restriction", tol)
 
 
 def restrict_function(
@@ -60,30 +57,19 @@ def restrict_function(
 
     The value at a subgroup word ``y b``, with ``b`` its final letter, is
     the input evaluated at ``expand(y)`` times the contact vertex of
-    ``b``.  The output is multiplicative over the restricted system, so it
-    is sampled on the smallest sphere the input determines, the input
-    words of that sphere evaluated in one batch, and refined.  Raises
-    ``InputError`` when ``depth`` is given and is not a positive integer.
+    ``b``; ``expand(y)`` is built once per prefix ``y``.  The output is
+    multiplicative over the restricted system, so it is sampled on the
+    smallest sphere the input determines, the input words of that sphere
+    evaluated in one batch, and refined.  Raises ``InputError`` when
+    ``depth`` is given and is not a positive integer.
     """
     if f.system is not sys and not f.system.close_to(sys):
         raise InputError("function does not live over the given system")
     if restricted is None:
         restricted = restrict_system(fs, sys)
     n_out = depth if depth is not None else f.depth
-
-    def sample(yb: Word) -> list[tuple[tuple[int, ...], int]] | None:
-        b = last_letter(yb)
-        s = fs.expand(drop_last(yb)) * fs.contact[b]
-        if len(s) < f.depth:
-            return None
-        if last_letter(s) != fs.contact_letter[b]:
-            raise InternalCheckError(
-                f"sample for {yb} ends at {last_letter(s)!r}, "
-                f"not the contact letter {fs.contact_letter[b]!r}"
-            )
-        return [(s.data, 0)]
-
-    return sample_then_refine(restricted, n_out, sample, [f])
+    members = {c: [fs.contact[c].data] for c in fs.subgroup_alphabet.letters}
+    return _pull_back_function(restricted, n_out, fs._gamma_table, members, f)
 
 
 def coset_pairs(fs: FundamentalSubtree, a: str) -> list[tuple[Word, str]]:

@@ -380,15 +380,15 @@ class FiniteSubtree:
         self._check_connected()
 
     def _check_connected(self) -> None:
-        # Tree paths are unique, so the set is connected iff the path from
-        # every vertex to one fixed vertex stays inside it.
-        root = min(self.vertices, key=Word.sort_key)
-        for v in self.vertices:
-            for p in geodesic(v, root):
-                if p not in self.vertices:
-                    raise ValidationError(
-                        f"vertex set is not connected: {v} cannot reach {root}"
-                    )
+        # Each edge inside the set is counted once, at the vertex whose
+        # parent (``drop_last``) is the other end, and a forest on n
+        # vertices is one tree iff it has n - 1 edges.
+        data = {v.data for v in self.vertices}
+        edges = sum(1 for w in data if w and w[:-1] in data)
+        if edges != len(data) - 1:
+            raise ValidationError(
+                f"vertex set is not connected: it has {len(data) - edges} pieces"
+            )
 
     def __len__(self) -> int:
         return len(self.vertices)

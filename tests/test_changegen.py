@@ -25,11 +25,15 @@ from freemult import (
     pf_eigenpair,
     pruned_subtree,
     quotient_system,
+    restrict_function,
+    restrict_system,
+    schreier_subtree,
     shadow,
     transport_system,
 )
-from freemult.changegen import _frontier_projection, cone_included
+from freemult.changegen import cone_included
 from freemult.multfunc import MultiplicativeFunction, functions_close
+from freemult.system import _member_prefix
 from freemult.words import _letter_table, drop_last, last_letter, sphere
 
 from .conftest import AB, make_spherical, random_compatible
@@ -187,15 +191,16 @@ def test_partition_identities_random_maps(rng):
                 for y in fronts[b].members:
                     assert last_letter(psi_a * y) == last_letter(y)
             # partition of Y(a) by projections of one-step-deeper members
+            own = [y.data for y in fronts[a].members]
             proj = set()
             for b in AB.letters:
                 if b == AB.inverse(a):
                     continue
                 for y in fronts[b].members:
                     g = AB.word(a) * gm.expand(y)
-                    member, _ = _frontier_projection(gm, fronts[a], g)
+                    member, _ = _member_prefix(own, gm.spell(g).data)
                     proj.add(member)
-            assert proj == set(fronts[a].members)
+            assert proj == set(own)
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,28 +305,41 @@ def test_intertwiner_checks_the_end_letter_of_each_sample(ab_map):
         intertwine_changegen(ab_map, sys0, f, transported=out)
 
 
-def test_intertwiner_equivariance(ab_map):
+@pytest.mark.parametrize("carry", ["changegen", "index2", "index3"])
+def test_intertwiner_equivariance(carry, request):
     """Translating by a target letter before or after carrying over agrees
-    wherever both sides are defined."""
+    wherever both sides are defined.  A restriction carries the same way:
+    translating by a subgroup letter ``y`` is translating by
+    ``expand(y)`` before restricting."""
     from freemult.multfunc import act
 
-    gm = ab_map
     sys0 = make_spherical(0.0)
-    out = transport_system(gm, sys0)
     f = shadow(sys0, AB.word("ab"), [1.0])
-    for spec in ("a", "B"):
-        y = AB.word(spec)
-        moved = act(gm.spell(y), f)
-        depth_l = moved.depth * gm.stretch_to_target
-        lhs = intertwine_changegen(gm, sys0, moved, transported=out, depth=depth_l)
-        rhs = act(
-            y,
-            intertwine_changegen(
-                gm, sys0, f, transported=out, depth=depth_l - len(y)
-            ),
-        )
+    if carry == "changegen":
+        gm = request.getfixturevalue("ab_map")
+        out = transport_system(gm, sys0)
+        letters = [AB.word(spec) for spec in ("a", "B")]
+        move, stretch, tol = gm.spell, gm.stretch_to_target, 1e-8
+
+        def carried(g, depth):
+            return intertwine_changegen(gm, sys0, g, transported=out, depth=depth)
+
+    else:
+        fs = schreier_subtree(request.getfixturevalue(f"{carry}_automaton"))
+        out = restrict_system(fs, sys0)
+        letters = [fs.subgroup_alphabet.word([c]) for c in fs.subgroup_alphabet.letters]
+        move, stretch, tol = fs.expand, 1, 1e-9
+
+        def carried(g, depth):
+            return restrict_function(fs, sys0, g, restricted=out, depth=depth)
+
+    for y in letters:
+        moved = act(move(y), f)
+        depth_l = moved.depth * stretch
+        lhs = carried(moved, depth_l)
+        rhs = act(y, carried(f, depth_l - len(y)))
         assert lhs.depth == rhs.depth
-        assert functions_close(lhs, rhs, tol=1e-8)
+        assert functions_close(lhs, rhs, tol=tol)
 
 
 def test_frontiers_are_searched_once_per_map(monkeypatch):

@@ -14,12 +14,7 @@ import sys as _sys
 import numpy as np
 import pytest
 
-from freemult.changegen import (
-    GeneratorMap,
-    _frontier_projection,
-    compute_Y,
-    transport_system,
-)
+from freemult.changegen import GeneratorMap, YFrontier, compute_Y, transport_system
 from freemult.errors import InputError, InternalCheckError, ValidationError
 from freemult.multfunc import (
     MultiplicativeFunction,
@@ -31,7 +26,13 @@ from freemult.multfunc import (
 )
 from freemult.perron import pf_eigenpair
 from freemult.subgroup import decompose_left, schreier_subtree
-from freemult.system import MatrixSystem, _assembled, _blockdiag, compatibility_defect
+from freemult.system import (
+    MatrixSystem,
+    _assembled,
+    _blockdiag,
+    _member_prefix,
+    compatibility_defect,
+)
 from freemult.transport import (
     coset_pairs,
     induce_function,
@@ -40,7 +41,7 @@ from freemult.transport import (
     restrict_system,
     truncation_subtree,
 )
-from freemult.words import Word, ball, drop_last, last_letter, sphere
+from freemult.words import Word, _letter_table, ball, drop_last, last_letter, sphere
 
 from .conftest import AB, make_spherical, random_compatible
 from .test_function_transport_oracle import CHANGEGEN_MAPS
@@ -373,12 +374,14 @@ def reference_transport_system(gm, sys):
     B = _blockdiag([sys.B(last_letter(y)) for _, y in members])
     H = np.zeros((pos, pos), dtype=complex)
     for a in al.letters:
+        own = [y.data for y in fronts[a].members]
         for b in al.letters:
             if b == al.inverse(a):
                 continue
             for zrow in fronts[b].members:
                 g = al.word([a]) * gm.expand(zrow)
-                member, suffix = _frontier_projection(gm, fronts[a], g)
+                member, suffix = _member_prefix(own, gm.spell(g).data)
+                member = Word(gm.source, member)
                 o_r = offsets[b][zrow]
                 d_r = sys.dims[last_letter(zrow)]
                 o_c = offsets[a][member]
@@ -389,7 +392,7 @@ def reference_transport_system(gm, sys):
                 else:
                     prev = last_letter(member)
                     block = np.eye(sys.dims[prev], dtype=complex)
-                    for i in suffix.data:
+                    for i in suffix:
                         cur = gm.source._from_int[i]
                         block = sys.H(cur, prev) @ block
                         prev = cur
@@ -539,3 +542,41 @@ def test_assembly_rejects_inconsistent_steps(rng):
 
     with pytest.raises(InternalCheckError, match="not a member"):
         _assembled(src, AB, members, stranger, "copy", 1e-8)
+
+
+def test_pull_back_needs_a_member_prefixing_each_image(fs2):
+    """Restriction and a change of generators share one pull-back, which
+    rejects a member table where no member of ``a`` prefixes
+    ``image(a) r``."""
+    sys0 = make_spherical(0.0)
+    restrict_system(fs2, sys0)
+    # the contact vertex of g1 is A, and gamma_g1 = AA
+    fs2.contact["g1"] = AB.word("b")
+    with pytest.raises(InternalCheckError, match="no member prefixes"):
+        restrict_system(fs2, sys0)
+
+    gm = GeneratorMap(AB, AB, {"a": "a", "b": "ab"})
+    transport_system(gm, sys0)
+    front = compute_Y(gm, AB.word("a"))
+    assert [str(y) for y in front] == ["a", "b"]
+    gm._frontier_memo[front.z.data] = YFrontier(front.z, front.members[1:])
+    with pytest.raises(InternalCheckError, match="no member prefixes"):
+        transport_system(gm, sys0)
+
+
+def test_restriction_checks_the_end_letter_of_each_sample(fs2):
+    # A wrong substitution (g1 -> AAb instead of AA) expands subgroup
+    # prefixes to the wrong ambient words; the samples then end at letters
+    # other than their blocks' and must not be read as values.
+    sys0 = make_spherical(0.0)
+    rsys = restrict_system(fs2, sys0)
+    f = shadow(sys0, AB.word("ab"), [1.0])
+    assert restrict_function(fs2, sys0, f, restricted=rsys, depth=4).depth == 4
+    sub = fs2.subgroup_alphabet
+    assert fs2.gamma_of["g1"] == AB.word("AA")
+    bad = AB.word("AAb")
+    fs2._gamma_table = _letter_table(
+        sub, {**fs2.gamma_of, "g1": bad, "G1": bad.inverse()}
+    )
+    with pytest.raises(InternalCheckError, match="sample for g1·G2 ends at"):
+        restrict_function(fs2, sys0, f, restricted=rsys, depth=4)

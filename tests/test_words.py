@@ -179,6 +179,37 @@ def test_subtree_validation():
     assert t.terminals == frozenset({AB.word("a"), AB.word("b")})
 
 
+def connected_by_geodesics(vertices):
+    """Tree paths are unique, so a vertex set is connected iff the path
+    from every vertex to one fixed vertex stays inside it."""
+    root = min(vertices, key=Word.sort_key)
+    return all(p in vertices for v in vertices for p in geodesic(v, root))
+
+
+@given(
+    st.lists(st.lists(st.sampled_from("aAbB"), max_size=5), min_size=1, max_size=8),
+    st.sampled_from(["as drawn", "prefix-closed", "prefix-closed less one"]),
+    st.integers(0, 2**16),
+    letters_st,
+)
+@settings(max_examples=200)
+def test_subtree_connectivity_matches_geodesic_oracle(words, shape, cut, centre):
+    # closing under prefixes gives a connected set and removing one of
+    # its vertices often does not; the translate by ``centre`` moves the
+    # set off the identity
+    vs = {AB.word(w) for w in words}
+    if shape != "as drawn":
+        vs = {v.prefix(k) for v in vs for k in range(len(v) + 1)}
+    if shape == "prefix-closed less one" and len(vs) > 1:
+        vs.discard(sorted(vs, key=Word.sort_key)[cut % len(vs)])
+    vs = {AB.word(centre) * v for v in vs}
+    if connected_by_geodesics(vs):
+        assert FiniteSubtree(AB, vs).vertices == frozenset(vs)
+    else:
+        with pytest.raises(ValidationError, match="not connected"):
+            FiniteSubtree(AB, vs)
+
+
 def test_based_root():
     t = ball(AB.word("ab"), 1)
     xbar, x = based_root(t)
